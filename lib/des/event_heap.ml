@@ -7,7 +7,8 @@
    scheduler, the engine, the demand-driven partitioners) far below the
    10^5-worker x 10^6-task scale the paper sweeps need.  This module
    keeps the same (priority, FIFO-by-seq) ordering contract with zero
-   per-operation allocation:
+   per-operation allocation inside the module (see the [-opaque] caveat
+   below for callers):
 
    - priorities live in a flat [float array]: OCaml stores those
      unboxed, and [Array.unsafe_get] on a statically-known float array
@@ -20,10 +21,14 @@
      means each sift step touches two adjacent words (one cache line)
      instead of two separate arrays;
    - [push]/[pop] are [@inline always] wrappers so the float [priority]
-     argument stays unboxed at every call site (a plain cross-module
-     call would box it — the same reasoning as Fbuf's externals), while
+     argument stays unboxed at every call site that inlines them (a
+     real call boxes it — the same reasoning as Fbuf's externals), while
      the iterative sift loops stay out of line (they move floats only
-     between buffer slots, never through a call boundary);
+     between buffer slots, never through a call boundary).  Inside this
+     module that is every call site; in other modules only those
+     compiled against this .cmx.  Dune's dev profile passes [-opaque],
+     which hides the .cmx: there each out-of-module [push] boxes its
+     priority and [min_priority] returns a boxed float, 2 words each;
    - growth doubles both buffers at once, so allocation is amortized
      O(1) per push and exactly zero once capacity is reached.
 

@@ -14,10 +14,18 @@
     or use it as a slot into a side table ([Engine]'s handler slab).
 
     [push], [pop], [min_priority] and [is_empty] are [@inline always]
-    in the implementation, so float priorities cross the module
-    boundary unboxed (the Closure middle-end inlines through the .cmx
-    even without flambda); the Gc-counter tests in [test_des.ml] prove
-    0 minor words per push+pop. *)
+    in the implementation.  Where they are inlined, the float priority
+    stays unboxed and a push+pop allocates 0 words: always inside this
+    module, and in other modules only when those are compiled against
+    this module's .cmx (dune's release profile; the Closure middle-end
+    inlines through the .cmx even without flambda).  Dune's dev profile
+    (what [dune build], [dune runtest] and the benchmark build) passes
+    [-opaque], so other modules see only the .cmi and every call is a
+    real one: [push] takes its priority boxed (2 words on 64-bit,
+    unless the caller already holds it boxed) and [min_priority]
+    returns a freshly boxed float (2 words).  The 0-words Gc-counter
+    test in [test_des.ml] therefore drives the heap through
+    {!exercise}, inside the module. *)
 
 type t
 

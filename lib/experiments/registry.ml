@@ -76,12 +76,24 @@ let domains =
 
 (* --- per-command plumbing: logging, observability, table dumps --- *)
 
+(* [Logs.format_reporter] prints through one shared [Format] formatter,
+   whose pretty-printing queue is not domain-safe: simulations logging
+   from several pool domains at once corrupt it (and raise
+   [Queue.Empty] in the middle of a trial).  Reports are serialised. *)
+let domain_safe (r : Logs.reporter) =
+  let m = Mutex.create () in
+  {
+    Logs.report =
+      (fun src level ~over k msgf ->
+        Mutex.protect m (fun () -> r.report src level ~over k msgf));
+  }
+
 let setup_logs verbosity =
   let level =
     match verbosity with 0 -> Some Logs.Warning | 1 -> Some Logs.Info | _ -> Some Logs.Debug
   in
   Logs.set_level level;
-  Logs.set_reporter (Logs.format_reporter ())
+  Logs.set_reporter (domain_safe (Logs.format_reporter ()))
 
 let verbosity =
   Arg.(value & flag_all & info [ "v"; "verbose" ] ~doc:"Increase log verbosity (repeatable).")

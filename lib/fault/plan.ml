@@ -28,13 +28,15 @@ let none =
 
 let default_seed = 0x7fddd4d5
 
-(* splitmix64 finalizer: a high-quality 64-bit mixer. *)
-let mix64 z =
+(* splitmix64 finalizer: a high-quality 64-bit mixer.  Inlined, with
+   [unit_float], into [fetch_fails], so the hash runs on unboxed
+   [Int64]s. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let unit_float h =
+let[@inline] unit_float h =
   (* top 53 bits to [0, 1) *)
   Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
 
@@ -171,7 +173,7 @@ let is_none t =
 
 let in_range t w = w >= 0 && w < t.p
 
-let fetch_failure t ~worker =
+let[@inline] fetch_failure t ~worker =
   if in_range t worker then t.fetch_failure.(worker) else 0.
 
 let fetch_fails t ~worker ~attempt =
@@ -189,9 +191,14 @@ let fetch_fails t ~worker ~attempt =
     unit_float h < q
   end
 
+(* A top-level recursion, so no closure over [after] is allocated: the
+   scheduler asks once per copy it starts. *)
+let rec first_crash_from after = function
+  | [] -> None
+  | c :: rest -> if c.at >= after then Some c else first_crash_from after rest
+
 let next_crash t ~worker ~after =
-  if not (in_range t worker) then None
-  else List.find_opt (fun c -> c.at >= after) t.by_worker.(worker)
+  if not (in_range t worker) then None else first_crash_from after t.by_worker.(worker)
 
 let available t ~worker ~time =
   if not (in_range t worker) then true
@@ -212,62 +219,85 @@ let factor_at t ~worker ~time =
     | Some s -> s.factor
     | None -> 1.
 
+(* [advance] and [work_between] run for every copy the scheduler starts
+   and every progress probe it makes.  A worker with no slowdown window
+   (most of them) takes the direct path; otherwise the window list is
+   walked by a loop whose float state lives in local refs that no
+   closure captures, so the compiler keeps them unboxed and the walk
+   allocates nothing. *)
 let advance t ~worker ~start ~duration =
   if duration <= 0. then start
   else if not (in_range t worker) then start +. duration
-  else begin
-    let remaining = ref duration and cursor = ref start in
-    let finished = ref None in
-    List.iter
-      (fun s ->
-        match !finished with
-        | Some _ -> ()
-        | None ->
-            if s.until > !cursor then begin
-              (* unslowed gap before the window *)
-              (if s.from_time > !cursor then begin
-                 let gap = s.from_time -. !cursor in
-                 if !remaining <= gap then finished := Some (!cursor +. !remaining)
-                 else begin
-                   remaining := !remaining -. gap;
-                   cursor := s.from_time
-                 end
-               end);
-              match !finished with
-              | Some _ -> ()
-              | None ->
+  else
+    match t.slowdowns.(worker) with
+    | [] -> start +. duration
+    | windows ->
+        let remaining = ref duration and cursor = ref start in
+        let finish = ref 0. and finished = ref false in
+        let rest = ref windows in
+        while not !finished do
+          match !rest with
+          | [] ->
+              finish := !cursor +. !remaining;
+              finished := true
+          | s :: tl ->
+              rest := tl;
+              if s.until > !cursor then begin
+                (* unslowed gap before the window *)
+                (if s.from_time > !cursor then begin
+                   let gap = s.from_time -. !cursor in
+                   if !remaining <= gap then begin
+                     finish := !cursor +. !remaining;
+                     finished := true
+                   end
+                   else begin
+                     remaining := !remaining -. gap;
+                     cursor := s.from_time
+                   end
+                 end);
+                if not !finished then begin
                   (* inside the window: time passes [factor] times faster *)
                   let capacity = (s.until -. !cursor) /. s.factor in
-                  if !remaining <= capacity then
-                    finished := Some (!cursor +. (!remaining *. s.factor))
+                  if !remaining <= capacity then begin
+                    finish := !cursor +. (!remaining *. s.factor);
+                    finished := true
+                  end
                   else begin
                     remaining := !remaining -. capacity;
                     cursor := s.until
                   end
-            end)
-      t.slowdowns.(worker);
-    match !finished with Some f -> f | None -> !cursor +. !remaining
-  end
+                end
+              end
+        done;
+        !finish
 
 let work_between t ~worker ~start ~until =
   if until <= start then 0.
   else if not (in_range t worker) then until -. start
-  else begin
-    let work = ref 0. and cursor = ref start in
-    List.iter
-      (fun s ->
-        if s.until > !cursor && s.from_time < until then begin
-          (if s.from_time > !cursor then begin
-             work := !work +. (Float.min s.from_time until -. !cursor);
-             cursor := Float.min s.from_time until
-           end);
-          if !cursor < until && !cursor < s.until then begin
-            let stop = Float.min s.until until in
-            work := !work +. ((stop -. !cursor) /. s.factor);
-            cursor := stop
-          end
-        end)
-      t.slowdowns.(worker);
-    if !cursor < until then work := !work +. (until -. !cursor);
-    !work
-  end
+  else
+    match t.slowdowns.(worker) with
+    | [] ->
+        (* what the walk below returns with no window, NaN bounds included *)
+        if start < until then until -. start else 0.
+    | windows ->
+        let work = ref 0. and cursor = ref start in
+        let rest = ref windows and walking = ref true in
+        while !walking do
+          match !rest with
+          | [] -> walking := false
+          | s :: tl ->
+              rest := tl;
+              if s.until > !cursor && s.from_time < until then begin
+                (if s.from_time > !cursor then begin
+                   work := !work +. (Float.min s.from_time until -. !cursor);
+                   cursor := Float.min s.from_time until
+                 end);
+                if !cursor < until && !cursor < s.until then begin
+                  let stop = Float.min s.until until in
+                  work := !work +. ((stop -. !cursor) /. s.factor);
+                  cursor := stop
+                end
+              end
+        done;
+        if !cursor < until then work := !work +. (until -. !cursor);
+        !work

@@ -33,7 +33,12 @@ type assignment = {
 }
 
 type outcome = {
-  assignments : assignment list;
+  copy_task : int array;
+  copy_worker : int array;
+  copy_start : float array;
+  copy_fetch_end : float array;
+  copy_finish : float array;
+  copy_fetched : float array;
   completion : float array;
   winner : int array;
   makespan : float;
@@ -83,84 +88,64 @@ module Pending = struct
     t.count <- t.count + 1
 end
 
-(* Open-addressing set of non-negative ints: the flat replacement for
-   the per-worker block-cache [Hashtbl]s and the [(worker, task)]
-   quarantine table.  [Hashtbl.mem cache (w, i)] allocated a tuple per
-   membership query and the caches churned a bucket list per insert —
-   per *event* costs at 10^5-worker scale.  Linear probing over a
-   power-of-two [int array] with [min_int] as the empty marker does
-   both in zero allocations.  Only membership is ever queried, so
-   iteration order (the one observable difference from Hashtbl) cannot
+(* Per-worker block caches in one flat [int array], so a run allocates
+   nothing per worker (10^5 of them) and a membership probe reads one
+   contiguous run instead of chasing a pointer.  Worker [w] owns the
+   [stride] words at [w * stride]: word 0 counts the distinct blocks it
+   has cached, the next [inline] words hold the first [inline] of them.
+   Blocks past those spill into the worker's own [Intset], created on
+   first use.  Only membership is ever queried, so the layout cannot
    leak into outcomes. *)
-module Intset = struct
-  type t = { mutable slots : int array; mutable mask : int; mutable count : int }
+module Caches = struct
+  let stride = 16 (* one 128-byte run per worker *)
+  let inline = stride - 1
 
-  let empty_slot = min_int
+  type t = { slots : int array; spill : Intset.t option array }
 
-  let create cap =
-    let cap = max 8 cap in
-    let size = ref 8 in
-    while !size < cap do
-      size := !size * 2
-    done;
-    { slots = Array.make !size empty_slot; mask = !size - 1; count = 0 }
+  let create p = { slots = Array.make (p * stride) 0; spill = Array.make p None }
 
-  (* Fibonacci-style multiplicative mix; the low bits of [x * odd] are a
-     bijection, so sequential block ids stay collision-free. *)
-  let slot_of t x = x * 0x9E3779B9 land t.mask
-
-  let mem t x =
+  let mem t w x =
     let slots = t.slots in
-    let j = ref (slot_of t x) in
-    let found = ref false in
-    let probing = ref true in
-    while !probing do
-      let v = slots.(!j) in
-      if v = x then begin
-        found := true;
-        probing := false
-      end
-      else if v = empty_slot then probing := false
-      else j := (!j + 1) land t.mask
+    let base = w * stride in
+    let n = slots.(base) in
+    let last = base + if n < inline then n else inline in
+    let k = ref (base + 1) in
+    while !k <= last && slots.(!k) <> x do
+      incr k
     done;
-    !found
+    !k <= last
+    || n > inline
+       && match t.spill.(w) with Some s -> Intset.mem s x | None -> false
 
-  let rec add t x =
-    if 2 * (t.count + 1) > Array.length t.slots then grow t;
-    let slots = t.slots in
-    let j = ref (slot_of t x) in
-    let probing = ref true in
-    while !probing do
-      let v = slots.(!j) in
-      if v = x then probing := false
-      else if v = empty_slot then begin
-        slots.(!j) <- x;
-        t.count <- t.count + 1;
-        probing := false
-      end
-      else j := (!j + 1) land t.mask
-    done
-
-  and grow t =
-    let old = t.slots in
-    t.slots <- Array.make (2 * Array.length old) empty_slot;
-    t.mask <- Array.length t.slots - 1;
-    t.count <- 0;
-    Array.iter (fun v -> if v <> empty_slot then add t v) old
-
-  let reset t =
-    if t.count > 0 then begin
-      Array.fill t.slots 0 (Array.length t.slots) empty_slot;
-      t.count <- 0
+  let add t w x =
+    if not (mem t w x) then begin
+      let base = w * stride in
+      let n = t.slots.(base) in
+      (if n < inline then t.slots.(base + 1 + n) <- x
+       else
+         match t.spill.(w) with
+         | Some s -> Intset.add s x
+         | None ->
+             let s = Intset.create 16 in
+             Intset.add s x;
+             t.spill.(w) <- Some s);
+      t.slots.(base) <- n + 1
     end
+
+  (* A crash loses the worker's whole cache, spilled blocks included. *)
+  let clear t w =
+    let base = w * stride in
+    (if t.slots.(base) > inline then
+       match t.spill.(w) with Some s -> Intset.reset s | None -> ());
+    t.slots.(base) <- 0
 end
 
-let m_assignments = Obs.Metrics.counter "mapreduce.assignments"
 let m_speculative = Obs.Metrics.counter "mapreduce.speculative_copies"
 
-(* Per-event-type counters, flushed once per [run] from a flat local
-   tally (a DLS-backed [Metrics.add] per event would be measurable at
-   10^6-event scale; one add per tag per run is not). *)
+(* Per-event-type counters and the copy count, flushed once per [run]
+   from a flat local tally (a DLS-backed [Metrics.add] per event would
+   be measurable at 10^6-event scale; one add per tag per run is not). *)
+let m_assignments = Obs.Metrics.counter "mapreduce.assignments"
 let m_ev_free = Obs.Metrics.counter "mapreduce.events.free"
 let m_ev_done = Obs.Metrics.counter "mapreduce.events.done"
 let m_ev_crash = Obs.Metrics.counter "mapreduce.events.crash"
@@ -222,7 +207,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   let workers = Star.workers star in
   let n_tasks = Array.length tasks in
   let pending = Pending.create n_tasks in
-  let caches = Array.init p (fun _ -> Intset.create 64) in
+  let caches = Caches.create p in
   let completion = Array.make n_tasks infinity in
   let winner = Array.make n_tasks (-1) in
   let attempts = Array.make n_tasks 0 in
@@ -245,9 +230,9 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   let run_compute = Array.make p 0. in
   let run_volume = Array.make p 0. in
   let fetch_attempt_no = Array.make p 0 in
-  (* Completed copies, accumulated into growable flat columns and
-     converted to the [assignment list] once at the end. *)
-  let a_cap = ref 256 in
+  (* Completed copies, accumulated into flat columns sized for one copy
+     per task; only speculative duplicates can make them grow. *)
+  let a_cap = ref (max 1 n_tasks) in
   let a_n = ref 0 in
   let a_task = ref (Array.make !a_cap 0) in
   let a_worker = ref (Array.make !a_cap 0) in
@@ -259,6 +244,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   let retries = ref 0 in
   let crashes = ref 0 in
   let events_processed = ref 0 in
+  let n_assigned = ref 0 in (* flushed to [m_assignments] once, like [evt_counts] *)
   (* Float accumulators and scratch live in 1-slot float arrays (unboxed
      load/store); [ref 0.] or a mutable float field in a mixed record
      would box on every update. *)
@@ -274,6 +260,9 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
      exactly the entries the observation loop wrote. *)
   let rate_arr = Array.make p 0. in
   let est_arr = Array.make p 0. in
+  (* Checked once, so no [Log.debug] closure (11 words, boxed floats
+     included) is built per assignment when debug logging is off. *)
+  let debug_on = match Logs.Src.level src with Some Logs.Debug -> true | _ -> false in
   (* Observability: one boolean read per run gates every record; the
      histogram shards are hoisted here so each enabled record is a few
      domain-local stores.  [avail] (when-did-the-task-become-runnable,
@@ -306,12 +295,11 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   (* Sum of block sizes the worker has not cached, into [mv.(0)]; same
      left-to-right order as the old [Array.fold_left]. *)
   let missing_volume w i =
-    let cache = caches.(w) in
     let ids = tasks.(i).Task.data_ids in
     mv.(0) <- 0.;
     for k = 0 to Array.length ids - 1 do
       let id = ids.(k) in
-      if not (Intset.mem cache id) then mv.(0) <- mv.(0) +. block_size id
+      if not (Caches.mem caches w id) then mv.(0) <- mv.(0) +. block_size id
     done
   in
   let enqueue_retry i now =
@@ -383,17 +371,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
         end
       done
     end;
-    let doom () =
-      (* the crash at [t_kill] finds this copy in flight and kills it *)
-      run_task.(w) <- i;
-      run_start.(w) <- now;
-      run_fetch_end.(w) <- infinity;
-      run_finish.(w) <- infinity;
-      run_compute.(w) <- 0.;
-      run_volume.(w) <- volume
-    in
-    if !fkind = 1 then doom ()
-    else if !fkind = 2 then begin
+    if !fkind = 2 then begin
       (* fetch retries exhausted: quarantine the (worker, task) pair,
          hand the task back, free the worker at [t_ex] *)
       let t_ex = ft.(0) in
@@ -405,34 +383,40 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
       run_task.(w) <- -1;
       Des.Event_heap.push queue ~priority:t_ex (encode tag_free w)
     end
+    else if !fkind = 1 || ft.(0) >= t_kill then begin
+      (* the crash at [t_kill] finds this copy in flight and kills it *)
+      run_task.(w) <- i;
+      run_start.(w) <- now;
+      run_fetch_end.(w) <- infinity;
+      run_finish.(w) <- infinity;
+      run_compute.(w) <- 0.;
+      run_volume.(w) <- volume
+    end
     else begin
       let t_f = ft.(0) in
-      if t_f >= t_kill then doom ()
-      else begin
-        if obs_on then rec_s sh_fetch (t_f -. now);
-        let cache = caches.(w) in
-        let ids = tasks.(i).Task.data_ids in
-        for k = 0 to Array.length ids - 1 do
-          Intset.add cache ids.(k)
-        done;
-        per_worker_comm.(w) <- per_worker_comm.(w) +. volume;
-        total_comm.(0) <- total_comm.(0) +. volume;
-        let d_c = compute_factor () *. Processor.compute_time proc ~work:tasks.(i).Task.cost in
-        let finish = Fault.Plan.advance faults ~worker:w ~start:t_f ~duration:d_c in
-        run_task.(w) <- i;
-        run_start.(w) <- now;
-        run_fetch_end.(w) <- t_f;
-        run_finish.(w) <- finish;
-        run_compute.(w) <- d_c;
-        run_volume.(w) <- volume;
-        Obs.Metrics.incr_counter m_assignments;
+      if obs_on then rec_s sh_fetch (t_f -. now);
+      let ids = tasks.(i).Task.data_ids in
+      for k = 0 to Array.length ids - 1 do
+        Caches.add caches w ids.(k)
+      done;
+      per_worker_comm.(w) <- per_worker_comm.(w) +. volume;
+      total_comm.(0) <- total_comm.(0) +. volume;
+      let d_c = compute_factor () *. Processor.compute_time proc ~work:tasks.(i).Task.cost in
+      let finish = Fault.Plan.advance faults ~worker:w ~start:t_f ~duration:d_c in
+      run_task.(w) <- i;
+      run_start.(w) <- now;
+      run_fetch_end.(w) <- t_f;
+      run_finish.(w) <- finish;
+      run_compute.(w) <- d_c;
+      run_volume.(w) <- volume;
+      incr n_assigned;
+      if debug_on then
         Log.debug (fun m ->
             m "t=%.4g: task %d -> worker %d (fetch %.4g, finish %.4g)" now i w volume
               finish);
-        if finish < t_kill then
-          Des.Event_heap.push queue ~priority:finish (encode tag_done w)
-        (* else: the crash event at [t_kill] kills the copy *)
-      end
+      if finish < t_kill then
+        Des.Event_heap.push queue ~priority:finish (encode tag_done w)
+      (* else: the crash event at [t_kill] kills the copy *)
     end
   in
   let select_task w =
@@ -636,7 +620,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
         run_task.(w) <- -1;
         wstate.(w) <- w_down;
         (* a crash loses the worker's block cache *)
-        Intset.reset caches.(w)
+        Caches.clear caches w
       end
     end
     else if tag = tag_recover then begin
@@ -682,6 +666,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     Obs.Metrics.add m_ev_crash evt_counts.(tag_crash);
     Obs.Metrics.add m_ev_recover evt_counts.(tag_recover);
     Obs.Metrics.add m_ev_retry evt_counts.(tag_retry);
+    Obs.Metrics.add m_assignments !n_assigned;
     Obs.Metrics.set_gauge g_heap_hwm
       (float_of_int (Des.Event_heap.high_water queue))
   end;
@@ -700,24 +685,17 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   let idle_workers =
     Array.fold_left (fun acc n -> if n = 0 then acc + 1 else acc) 0 per_worker_tasks
   in
-  let assignments =
-    let acc = ref [] in
-    for k = !a_n - 1 downto 0 do
-      acc :=
-        {
-          task = !a_task.(k);
-          worker = !a_worker.(k);
-          start = !a_start.(k);
-          fetch_end = !a_fetch_end.(k);
-          finish = !a_finish.(k);
-          fetched = !a_fetched.(k);
-        }
-        :: !acc
-    done;
-    !acc
-  in
+  (* The columns are handed out as they are; they need a copy only when
+     their length is not the copy count (unfinished tasks, or growth
+     under speculation). *)
+  let trim a = if Array.length a = !a_n then a else Array.sub a 0 !a_n in
   {
-    assignments;
+    copy_task = trim !a_task;
+    copy_worker = trim !a_worker;
+    copy_start = trim !a_start;
+    copy_fetch_end = trim !a_fetch_end;
+    copy_finish = trim !a_finish;
+    copy_fetched = trim !a_fetched;
     completion;
     winner;
     makespan;
@@ -735,6 +713,22 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     events_processed = !events_processed;
     fault_log = Fault.Clock.events clock;
   }
+
+let assignments o =
+  let acc = ref [] in
+  for k = Array.length o.copy_task - 1 downto 0 do
+    acc :=
+      {
+        task = o.copy_task.(k);
+        worker = o.copy_worker.(k);
+        start = o.copy_start.(k);
+        fetch_end = o.copy_fetch_end.(k);
+        finish = o.copy_finish.(k);
+        fetched = o.copy_fetched.(k);
+      }
+      :: !acc
+  done;
+  !acc
 
 let imbalance outcome =
   let tmax = ref 0. and tmin = ref infinity and ran = ref 0 in

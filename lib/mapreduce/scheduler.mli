@@ -68,10 +68,20 @@ type assignment = {
   fetched : float;  (** data volume actually transferred *)
 }
 
+(** The completed copies are kept as six columns of one length, the
+    number of completed copies: index [k] describes the [k]-th copy to
+    finish, field by field as in {!assignment}.  Killed or aborted
+    copies appear in [attempts]/[wasted_work] instead.  A run fills the
+    columns in place, sized once for one copy per task, so building the
+    outcome allocates no record per copy; {!assignments} turns them into
+    records for code that wants them. *)
 type outcome = {
-  assignments : assignment list;
-      (** completed copies, in completion order; killed or aborted
-          copies appear in [attempts]/[wasted_work] instead *)
+  copy_task : int array;
+  copy_worker : int array;
+  copy_start : float array;
+  copy_fetch_end : float array;
+  copy_finish : float array;
+  copy_fetched : float array;
   completion : float array;  (** per task: earliest copy finish; [infinity] if none *)
   winner : int array;  (** per task: worker of the earliest copy; -1 if none *)
   makespan : float;  (** last finite task completion *)
@@ -118,6 +128,9 @@ val run :
 
     Raises [Invalid_argument] when [faults] addresses more workers than
     the platform has, or on a malformed config. *)
+
+val assignments : outcome -> assignment list
+(** The completed copies as records, in completion order. *)
 
 val imbalance : outcome -> float
 (** [(tmax - tmin)/tmin] over [busy_until] of the workers that

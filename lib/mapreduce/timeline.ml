@@ -1,14 +1,11 @@
-let trace (outcome : Scheduler.outcome) =
+let trace (o : Scheduler.outcome) =
   let t = Des.Trace.create () in
-  List.iter
-    (fun (a : Scheduler.assignment) ->
-      let resource = Printf.sprintf "w%d" a.Scheduler.worker in
-      if a.Scheduler.fetch_end > a.Scheduler.start then
-        Des.Trace.record t ~resource ~start:a.Scheduler.start ~finish:a.Scheduler.fetch_end
-          ~label:"f";
-      Des.Trace.record t ~resource ~start:a.Scheduler.fetch_end ~finish:a.Scheduler.finish
-        ~label:"x")
-    outcome.Scheduler.assignments;
+  for k = 0 to Array.length o.Scheduler.copy_task - 1 do
+    let resource = Printf.sprintf "w%d" o.Scheduler.copy_worker.(k) in
+    let start = o.Scheduler.copy_start.(k) and fetch_end = o.Scheduler.copy_fetch_end.(k) in
+    if fetch_end > start then Des.Trace.record t ~resource ~start ~finish:fetch_end ~label:"f";
+    Des.Trace.record t ~resource ~start:fetch_end ~finish:o.Scheduler.copy_finish.(k) ~label:"x"
+  done;
   t
 
 let gantt ?width outcome = Des.Trace.render_gantt ?width (trace outcome)

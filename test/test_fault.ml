@@ -71,6 +71,131 @@ let test_plan_slowdown_integrator () =
   checkf "unaffected worker" 3.
     (Plan.advance plan ~worker:0 ~start:10. ~duration:3. -. 10.)
 
+(* --- the rewritten integrator vs its closure-based original --- *)
+
+module Integrator_oracle = Plan_integrator_oracle
+
+(* A plan over [p] workers, each with up to four sorted, non-overlapping
+   windows; gaps of 0 make windows touch, factor 1 makes one a no-op. *)
+let gen_windows w =
+  QCheck.Gen.(
+    let* k = int_range 0 4 in
+    let* t0 = oneofl [ 0.; 0.5; 2. ] in
+    let rec build acc t k =
+      if k = 0 then return (List.rev acc)
+      else
+        let* gap = oneof [ return 0.; float_range 0. 3. ] in
+        let* len = oneof [ return 1.; float_range 0.01 5. ] in
+        let* factor = oneof [ oneofl [ 1.; 2.; 3.5 ]; float_range 1. 10. ] in
+        let from_time = t +. gap in
+        let until = from_time +. len in
+        build ({ Plan.worker = w; from_time; until; factor } :: acc) until (k - 1)
+    in
+    build [] t0 k)
+
+type integrator_case = {
+  windows : Plan.slowdown list;
+  p : int;
+  worker : int;
+  start : float;
+  duration : float;
+  until : float;
+}
+
+let gen_integrator_case =
+  QCheck.Gen.(
+    let* p = int_range 1 3 in
+    let* per = flatten_l (List.init p gen_windows) in
+    let windows = List.concat per in
+    let edges = List.concat_map (fun (s : Plan.slowdown) -> [ s.Plan.from_time; s.until ]) windows in
+    let point =
+      if edges = [] then float_range (-1.) 30.
+      else frequency [ (2, oneofl edges); (2, float_range (-1.) 30.); (1, return 0.) ]
+    in
+    let* worker = oneof [ int_range 0 (p - 1); oneofl [ -1; p; p + 3 ] ] in
+    let* start = point in
+    let* duration =
+      frequency
+        [
+          (1, return 0.);
+          (1, float_range (-5.) (-0.001));
+          (1, return 1e-9);
+          (1, map (fun e -> e -. start) point);
+          (4, float_range 0. 20.);
+        ]
+    in
+    let* until =
+      frequency
+        [ (1, return start); (1, map (fun d -> start -. d) (float_range 0. 5.)); (2, point);
+          (3, map (fun d -> start +. d) (float_range 0. 20.)) ]
+    in
+    return { windows; p; worker; start; duration; until })
+
+let print_integrator_case c =
+  Printf.sprintf "p=%d worker=%d start=%h duration=%h until=%h windows=[%s]" c.p c.worker
+    c.start c.duration c.until
+    (String.concat "; "
+       (List.map
+          (fun (s : Plan.slowdown) ->
+            Printf.sprintf "w%d [%h, %h) x%h" s.Plan.worker s.from_time s.until s.factor)
+          c.windows))
+
+let qcheck_integrator_matches_oracle =
+  QCheck.Test.make ~name:"plan: advance/work_between bit-identical to the closure-based original"
+    ~count:2000
+    (QCheck.make ~print:print_integrator_case gen_integrator_case)
+    (fun c ->
+      let plan = Plan.make ~slowdowns:c.windows ~p:c.p () in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let worker = c.worker in
+      same
+        (Plan.advance plan ~worker ~start:c.start ~duration:c.duration)
+        (Integrator_oracle.advance plan ~worker ~start:c.start ~duration:c.duration)
+      && same
+           (Plan.work_between plan ~worker ~start:c.start ~until:c.until)
+           (Integrator_oracle.work_between plan ~worker ~start:c.start ~until:c.until))
+
+let test_plan_queries_allocate_nothing () =
+  (* Worker 1 has two slowdown windows, worker 0 none.  The same queries
+     must allocate exactly as much on either: only the boxed floats
+     that cross the call boundary, nothing per window.  The fetch hash
+     works on unboxed [Int64]s and allocates nothing at all. *)
+  let plan =
+    Plan.make
+      ~slowdowns:
+        [
+          { Plan.worker = 1; from_time = 1.; until = 2.; factor = 2. };
+          { Plan.worker = 1; from_time = 3.; until = 5.; factor = 4. };
+        ]
+      ~fetch_failure:[ (0, 0.5); (1, 0.5) ] ~p:2 ()
+  in
+  let sink = [| 0. |] in
+  let integrate w =
+    for k = 1 to 1000 do
+      let t = float_of_int (k land 3) in
+      sink.(0) <- sink.(0) +. Plan.advance plan ~worker:w ~start:t ~duration:3.;
+      sink.(0) <- sink.(0) +. Plan.work_between plan ~worker:w ~start:t ~until:(t +. 4.)
+    done
+  in
+  let hits = ref 0 in
+  let hash () =
+    for k = 1 to 1000 do
+      if Plan.fetch_fails plan ~worker:(k land 1) ~attempt:k then incr hits
+    done
+  in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let plain = words (fun () -> integrate 0) and windowed = words (fun () -> integrate 1) in
+  checkb
+    (Printf.sprintf "windowed worker %.0f words = unslowed worker %.0f words" windowed plain)
+    true (windowed = plain);
+  checkf "fetch_fails allocates nothing" 0. (words hash);
+  checkb "results used" true (Float.is_finite sink.(0) && !hits > 0)
+
 let test_plan_fetch_hash_deterministic () =
   let plan = Plan.make ~fetch_failure:[ (0, 0.5); (1, 0.5) ] ~seed:7 ~p:2 () in
   let fails w a = Plan.fetch_fails plan ~worker:w ~attempt:a in
@@ -222,7 +347,7 @@ let test_replay_determinism_across_domains () =
       | None -> Alcotest.fail "trial did not run"
       | Some o ->
           checkb "assignments identical" true
-            (o.Scheduler.assignments = reference.Scheduler.assignments);
+            (Scheduler.assignments o = Scheduler.assignments reference);
           checkb "completions identical" true
             (o.Scheduler.completion = reference.Scheduler.completion);
           checkb "fault log identical" true
@@ -289,6 +414,44 @@ let test_clock_arm_schedules_plan () =
   let tally = Clock.counts clock in
   checki "tally crashes" 1 tally.Clock.crashes;
   checki "tally recoveries" 1 tally.Clock.recoveries
+
+(* Allocation ratchet for the fault-injected run: minor words per event
+   of a 10^3-worker x 10^4-task run under crashes, slowdowns and fetch
+   failures.  Measured at 15.2 once the outcome columns, the flat worker
+   caches and the allocation-free plan queries landed (70.7 before);
+   what is left is mostly floats boxed across module boundaries, which
+   the dev profile's [-opaque] does not inline away.  Lower the constant
+   when a change lowers the figure. *)
+let minor_words_per_event_ratchet = 15.2
+
+let test_faulted_run_minor_words () =
+  let p = 1_000 and n = 10_000 in
+  let star = Star.of_speeds (List.init p (fun _ -> 1.)) in
+  let tasks = simple_tasks n in
+  let faults =
+    Plan.generate ~rng:(Rng.create ~seed:42 ()) ~p ~horizon:20. ~crash_rate:0.01
+      ~slowdown_rate:0.05 ~fetch_failure:0.02 ()
+  in
+  let metrics = Obs.Metrics.enabled () and hists = Obs.Hist.enabled () in
+  Obs.Metrics.set_enabled false;
+  Obs.Hist.set_enabled false;
+  let run () = Scheduler.run ~faults star ~tasks ~block_size:unit_block in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled metrics;
+      Obs.Hist.set_enabled hists)
+    (fun () ->
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let o = run () in
+      let per_event = (Gc.minor_words () -. before) /. float_of_int o.Scheduler.events_processed in
+      checkb "faults were injected" true
+        (o.Scheduler.crashes_survived > 0 && o.Scheduler.retries > 0);
+      checkb
+        (Printf.sprintf "%.2f minor words/event <= 1.1 x %.1f" per_event
+           minor_words_per_event_ratchet)
+        true
+        (per_event <= 1.1 *. minor_words_per_event_ratchet))
 
 (* --- Pool.submit retry/quarantine --- *)
 
@@ -407,7 +570,7 @@ let assert_identical name (n : Scheduler.outcome) (o : Oracle.outcome) =
     List.map
       (fun (a : Scheduler.assignment) ->
         (a.Scheduler.task, a.worker, a.start, a.fetch_end, a.finish, a.fetched))
-      n.Scheduler.assignments
+      (Scheduler.assignments n)
   in
   let flat_o =
     List.map
@@ -458,7 +621,19 @@ let identity_scenarios :
     in
     (config, Some (Rng.split rng, 0.6), plan, star, simple_tasks ~cost:4. 24, unit_block)
   in
+  let multi_block_tasks n =
+    Array.init n (fun i -> Task.make ~id:i ~data_ids:(Array.init 6 (fun k -> (3 * i) + k)) ~cost:2.)
+  in
+  (* Six of 24 shared blocks per task: a worker soon holds most of the
+     24, spilled ones included, and needs them again after a crash. *)
+  let pooled_tasks n =
+    Array.init n (fun i ->
+        Task.make ~id:i ~data_ids:(Array.init 6 (fun k -> ((5 * i) + (7 * k)) mod 24)) ~cost:2.)
+  in
   let late = { Scheduler.default_config with speculation = Scheduler.Late { threshold = 0.5 } } in
+  let affinity_late =
+    { Scheduler.default_config with policy = Scheduler.Affinity; speculation = Scheduler.Late { threshold = 0.7 } }
+  in
   let at_idle_affinity =
     { Scheduler.default_config with policy = Scheduler.Affinity; speculation = Scheduler.At_idle }
   in
@@ -539,9 +714,114 @@ let identity_scenarios :
           Star.of_speeds ~bandwidth:1e9 [ 1. ],
           simple_tasks ~cost:4. 3,
           fun _ -> 0. ) );
+    (* Six blocks per task, half shared with the next task: each worker
+       caches far more blocks than its 15 inline cache slots, so
+       membership and insertion run through the spill set. *)
+    ( "multi-block tasks spill the cache",
+      fun () ->
+        ( Scheduler.default_config,
+          None,
+          Plan.none,
+          Star.of_speeds [ 1.; 3. ],
+          multi_block_tasks 24,
+          unit_block ) );
+    ( "multi-block affinity spill",
+      fun () ->
+        ( { Scheduler.default_config with policy = Scheduler.Affinity },
+          None,
+          Plan.none,
+          Star.of_speeds [ 1.; 2.; 1. ],
+          multi_block_tasks 30,
+          unit_block ) );
+    (* Crashes with recovery after the caches have spilled: a recovered
+       worker must fetch every block again, and affinity selection must
+       see the emptied cache. *)
+    ( "crash recovery clears spilled caches",
+      fun () ->
+        ( { Scheduler.default_config with policy = Scheduler.Affinity },
+          None,
+          Plan.make
+            ~crashes:
+              [
+                { Plan.worker = 0; at = 40.; recovery = Some 45. };
+                { Plan.worker = 1; at = 30.; recovery = Some 31. };
+                { Plan.worker = 1; at = 70.; recovery = Some 72. };
+              ]
+            ~p:2 (),
+          Star.of_speeds [ 1.; 2. ],
+          pooled_tasks 40,
+          unit_block ) );
+    (* One worker walks all 40 blocks (25 of them spilled), crashes,
+       and walks them again: every block must be fetched anew, also
+       once the refilled inline slots send lookups to the spill set. *)
+    ( "crash recovery clears spilled caches, one worker",
+      fun () ->
+        ( Scheduler.default_config,
+          None,
+          Plan.make ~crashes:[ { Plan.worker = 0; at = 61.; recovery = Some 62. } ] ~p:1 (),
+          Star.of_speeds [ 1. ],
+          Array.init 30 (fun i ->
+              Task.make ~id:i ~data_ids:(Array.init 4 (fun k -> ((4 * i) + k) mod 40)) ~cost:2.),
+          unit_block ) );
+    ( "affinity + LATE under generated faults",
+      fun () ->
+        let rng = Rng.create ~seed:31 () in
+        let plan =
+          Plan.generate ~rng ~p:5 ~horizon:40. ~crash_rate:0.5 ~slowdown_rate:0.6
+            ~fetch_failure:0.15 ()
+        in
+        ( affinity_late,
+          Some (Rng.split rng, 0.5),
+          plan,
+          Star.of_speeds [ 1.; 2.; 1.; 0.5; 3. ],
+          multi_block_tasks 40,
+          unit_block ) );
+    (* Worker 0's link always fails: each task it picks is exhausted and
+       the (worker, task) pair quarantined, until it is barred from
+       every task and the other workers finish the job. *)
+    ( "fetch exhaustion quarantines pairs",
+      fun () ->
+        ( Scheduler.default_config,
+          None,
+          Plan.make ~fetch_failure:[ (0, 1.); (2, 0.3) ] ~seed:5 ~p:3 (),
+          Star.of_speeds [ 4.; 1.; 1. ],
+          simple_tasks ~cost:2. 20,
+          unit_block ) );
+    ( "fetch exhaustion quarantines pairs, affinity",
+      fun () ->
+        ( { Scheduler.default_config with policy = Scheduler.Affinity },
+          None,
+          Plan.make ~fetch_failure:[ (0, 1.); (1, 0.4) ] ~seed:9 ~p:3 (),
+          Star.of_speeds [ 4.; 1.; 1. ],
+          multi_block_tasks 20,
+          unit_block ) );
     ("generated + LATE, seed 99", generated ~seed:99 ~config:late);
     ("generated + LATE, seed 7", generated ~seed:7 ~config:late);
     ("generated + at-idle affinity, seed 5", generated ~seed:5 ~config:at_idle_affinity);
+  ]
+
+(* What each newer scenario is there to exercise, checked so that a
+   change of inputs cannot quietly stop covering it. *)
+let scenario_coverage =
+  let spilled (o : Scheduler.outcome) =
+    (* unit blocks: a worker that never crashed fetched one block per
+       cache entry, so more than 15 means its cache spilled *)
+    Array.exists (fun v -> v > 15.) o.Scheduler.per_worker_comm
+  in
+  let quarantined (o : Scheduler.outcome) =
+    List.exists (function Clock.Quarantine _ -> true | _ -> false) o.Scheduler.fault_log
+  in
+  [
+    ("multi-block tasks spill the cache", spilled);
+    ("multi-block affinity spill", spilled);
+    ( "crash recovery clears spilled caches",
+      fun o -> spilled o && o.Scheduler.crashes_survived = 3 );
+    ( "crash recovery clears spilled caches, one worker",
+      fun o -> o.Scheduler.crashes_survived = 1 && o.Scheduler.communication >= 80. );
+    ( "affinity + LATE under generated faults",
+      fun o -> o.Scheduler.duplicates > 0 && o.Scheduler.crashes_survived > 0 );
+    ("fetch exhaustion quarantines pairs", quarantined);
+    ("fetch exhaustion quarantines pairs, affinity", quarantined);
   ]
 
 let test_scheduler_byte_identity () =
@@ -554,7 +834,10 @@ let test_scheduler_byte_identity () =
         Oracle.run ~config:(oracle_config config_o) ?jitter:jitter_o ~faults:faults_o
           star_o ~tasks:tasks_o ~block_size:block_size_o
       in
-      assert_identical name o_new o_old)
+      assert_identical name o_new o_old;
+      match List.assoc_opt name scenario_coverage with
+      | Some covers -> checkb (name ^ ": exercises what it is named for") true (covers o_new)
+      | None -> ())
     identity_scenarios
 
 let suites =
@@ -563,6 +846,9 @@ let suites =
       [
         Alcotest.test_case "validation" `Quick test_plan_validation;
         Alcotest.test_case "slowdown integrator" `Quick test_plan_slowdown_integrator;
+        QCheck_alcotest.to_alcotest qcheck_integrator_matches_oracle;
+        Alcotest.test_case "queries allocate nothing per window" `Quick
+          test_plan_queries_allocate_nothing;
         Alcotest.test_case "fetch hash deterministic" `Quick
           test_plan_fetch_hash_deterministic;
         Alcotest.test_case "generate deterministic" `Quick
@@ -589,6 +875,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_faulted_runs_terminate;
         Alcotest.test_case "byte-identity vs pre-rewrite oracle" `Quick
           test_scheduler_byte_identity;
+        Alcotest.test_case "minor words per event ratchet" `Quick
+          test_faulted_run_minor_words;
       ] );
     ( "pool submit",
       [

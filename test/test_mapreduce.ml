@@ -29,7 +29,7 @@ let test_empty_task_list () =
   let star = Star.of_speeds [ 1. ] in
   let outcome = Scheduler.run star ~tasks:[||] ~block_size:unit_block in
   checkf "zero makespan" 0. outcome.Scheduler.makespan;
-  Alcotest.(check int) "no assignments" 0 (List.length outcome.Scheduler.assignments)
+  Alcotest.(check int) "no assignments" 0 (List.length (Scheduler.assignments outcome))
 
 let test_single_worker_sequential () =
   let star = Star.of_speeds ~bandwidth:1. [ 1. ] in
@@ -40,7 +40,7 @@ let test_single_worker_sequential () =
 let test_fifo_order_on_single_worker () =
   let star = Star.of_speeds [ 1. ] in
   let outcome = Scheduler.run star ~tasks:(simple_tasks 5) ~block_size:unit_block in
-  let order = List.map (fun a -> a.Scheduler.task) outcome.Scheduler.assignments in
+  let order = List.map (fun a -> a.Scheduler.task) (Scheduler.assignments outcome) in
   Alcotest.(check (list int)) "submission order" [ 0; 1; 2; 3; 4 ] order
 
 let test_faster_worker_takes_more () =
@@ -75,7 +75,7 @@ let test_affinity_prefers_cached () =
   in
   let config = { Scheduler.default_config with policy = Scheduler.Affinity } in
   let outcome = Scheduler.run ~config star ~tasks ~block_size:(fun _ -> 5.) in
-  let order = List.map (fun a -> a.Scheduler.task) outcome.Scheduler.assignments in
+  let order = List.map (fun a -> a.Scheduler.task) (Scheduler.assignments outcome) in
   Alcotest.(check (list int)) "affinity order" [ 0; 2; 1 ] order
 
 let test_affinity_reduces_comm () =
@@ -235,6 +235,55 @@ let test_total_communication () =
     (Engine.total_communication result
     = result.Engine.map.Scheduler.communication +. result.Engine.shuffle.Shuffle.volume)
 
+(* --- Intset: the scheduler's quarantine and cache-spill set --- *)
+
+module Intset = Mapreduce.Intset
+
+(* Keys strided by [stride]; [stride = 100_000 = 2^5 * 3125] is the
+   block-id stride of one worker under FIFO hand-out on 10^5 workers.
+   Inserting 40 of them from capacity 8 crosses growths 8 -> 16 -> 32
+   -> 64 -> 128; every inserted key must be found and no other key
+   near one may be. *)
+let check_strided ~base ~stride =
+  let s = Intset.create 8 in
+  let keys = List.init 40 (fun j -> base + (stride * j)) in
+  let cap0 = Intset.capacity s in
+  List.iter
+    (fun k ->
+      Intset.add s k;
+      Intset.add s k)
+    keys;
+  checkb "grew at least twice" true (Intset.capacity s >= 4 * cap0);
+  List.iter (fun k -> checkb "inserted key found" true (Intset.mem s k)) keys;
+  List.iter
+    (fun k ->
+      List.iter
+        (fun x -> if not (List.mem x keys) then checkb "other key absent" false (Intset.mem s x))
+        [ k + 1; k - 1; k + (stride / 2); k + (stride * 40) ])
+    keys;
+  (* The home slot comes from the high bits of the product, so strided
+     keys spread out: a low-bits hash sends all of these to 8 home slots
+     or fewer, and the mean probe length grows with the key count. *)
+  let probes = List.fold_left (fun acc k -> acc + Intset.probe_length s k) 0 keys in
+  let mean = float_of_int probes /. float_of_int (List.length keys) in
+  checkb (Printf.sprintf "mean probe length %.2f <= 2.5" mean) true (mean <= 2.5);
+  let cap = Intset.capacity s in
+  Intset.reset s;
+  checkb "reset empties" true (List.for_all (fun k -> not (Intset.mem s k)) keys);
+  Alcotest.(check int) "reset keeps capacity" cap (Intset.capacity s)
+
+let test_intset_strided_keys () =
+  check_strided ~base:7 ~stride:100_000;
+  (* quarantine keys [w * n_tasks + i] of one task over many workers *)
+  check_strided ~base:123 ~stride:1_048_576;
+  check_strided ~base:0 ~stride:1
+
+let test_intset_rejects_marker () =
+  checkb "min_int rejected" true
+    (match Intset.add (Intset.create 8) min_int with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let suites =
   [
     ( "mapreduce scheduler",
@@ -253,6 +302,8 @@ let suites =
           test_speculation_never_hurts_completion;
         Alcotest.test_case "imbalance metric" `Quick test_imbalance_metric;
         QCheck_alcotest.to_alcotest qcheck_scheduler_conservation;
+        Alcotest.test_case "intset strided keys" `Quick test_intset_strided_keys;
+        Alcotest.test_case "intset rejects marker" `Quick test_intset_rejects_marker;
       ] );
     ( "shuffle",
       [
