@@ -34,8 +34,8 @@ let lint_entry =
    term on the passthrough args (everything after --), run the thunk
    with the full observability stack force-enabled from a clean slate,
    and write a self-contained report: metrics snapshot (counters,
-   gauges, histograms with quantiles), log2-histogram summaries, and a
-   bounded trace with explicit dropped/sampled accounting. *)
+   gauges), log2-histogram summaries with quantiles, and a bounded
+   trace with explicit dropped/sampled accounting. *)
 let profile_entry =
   let exp_name =
     Arg.(

@@ -9,7 +9,7 @@
    chunks claimed, busy/parked nanoseconds on the shared monotonic
    clock) accumulate into cache-line-sized records each written by
    exactly one domain, and submissions emit [Obs] spans / latency
-   histogram samples when tracing/metrics are enabled.  With both
+   histogram samples when tracing/histograms are enabled.  With both
    disabled the per-submission overhead is two clock reads and a few
    plain stores — no allocation. *)
 
@@ -97,9 +97,7 @@ let m_sequential = Obs.Metrics.counter "pool.sequential_runs"
 let m_quarantined = Obs.Metrics.counter "pool.quarantined"
 let m_retries = Obs.Metrics.counter "pool.submit_retries"
 
-let h_submit_ns =
-  Obs.Metrics.histogram "pool.submit_latency_ns"
-    ~bounds:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
+let h_submit_ns = Obs.Hist.create "pool.submit_latency_ns"
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 let size pool = 1 + Array.length pool.workers
@@ -294,7 +292,7 @@ let parallel_for ?workers ?chunk pool n body =
     st.ws_busy_ns <- st.ws_busy_ns + elapsed;
     pool.submissions <- pool.submissions + 1;
     Obs.Metrics.incr_counter m_submissions;
-    Obs.Metrics.observe_int h_submit_ns elapsed;
+    Obs.Hist.record h_submit_ns elapsed;
     Obs.Trace.end_span "pool.parallel_for";
     match Atomic.get task.failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -123,8 +123,7 @@ val get_global : ?at_least:int -> unit -> t
     ([Obs.Clock]); recording costs two clock reads and a few plain
     stores per submission, no allocation.  Spans ([pool.parallel_for],
     [pool.worker.run]) and the [pool.submit_latency_ns] histogram are
-    additionally emitted when [Obs.Trace] / [Obs.Metrics] are
-    enabled. *)
+    additionally emitted when [Obs.Trace] / [Obs.Hist] are enabled. *)
 
 type worker_stats = {
   tasks : int;  (** submissions this slot ran chunks for *)

@@ -12,8 +12,6 @@ type entry = {
   term : (unit -> output option * int) Term.t;
 }
 
-let output ~header ~rows ~json = { header; rows; json }
-
 (* Generic JSON view of a string table: numeric-looking cells become
    numbers so downstream tools see typed values. *)
 let json_cell s =

@@ -166,11 +166,6 @@ let p t = t.p
 let crashes t = Array.to_list t.crashes
 let slowdowns t = Array.to_list t.slowdowns |> List.concat
 
-let is_none t =
-  Array.length t.crashes = 0
-  && Array.for_all (fun l -> l = []) t.slowdowns
-  && Array.for_all (fun q -> (q = 0.) [@nldl.allow "H302"] (* exact: unset *)) t.fetch_failure
-
 let in_range t w = w >= 0 && w < t.p
 
 let[@inline] fetch_failure t ~worker =
@@ -199,25 +194,6 @@ let rec first_crash_from after = function
 
 let next_crash t ~worker ~after =
   if not (in_range t worker) then None else first_crash_from after t.by_worker.(worker)
-
-let available t ~worker ~time =
-  if not (in_range t worker) then true
-  else
-    not
-      (List.exists
-         (fun c ->
-           time >= c.at
-           && match c.recovery with None -> true | Some r -> time < r)
-         t.by_worker.(worker))
-
-let factor_at t ~worker ~time =
-  if not (in_range t worker) then 1.
-  else
-    match
-      List.find_opt (fun s -> time >= s.from_time && time < s.until) t.slowdowns.(worker)
-    with
-    | Some s -> s.factor
-    | None -> 1.
 
 (* [advance] and [work_between] run for every copy the scheduler starts
    and every progress probe it makes.  A worker with no slowdown window

@@ -13,7 +13,7 @@
    different binaries (e.g. the CLI and the test runner) never share
    entries.  Any read failure is treated as a miss. *)
 
-let format_version = 1
+let format_version = 2
 
 type payload = {
   p_findings : Finding.t list;  (* per-file (phase 1) findings *)

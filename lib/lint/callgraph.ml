@@ -76,6 +76,10 @@ type fragment = {
   f_modpath : string list;  (* qualified module path of the file *)
   f_opens : string list list;
   f_aliases : (string * string list) list;  (* module P = Exec.Pool *)
+  f_exports : (string list * string list) list;
+      (* structure-level aliases keyed by the alias's qualified path:
+         lib/core/core.ml's [module Image = Workloads.Image] is
+         ([Core; Image], [Workloads; Image]) *)
   f_defs : def list;
   f_unsafe_zone : bool;
   f_domain_safe : bool;
@@ -88,6 +92,7 @@ let empty_fragment ~file =
     f_modpath = [];
     f_opens = [];
     f_aliases = [];
+    f_exports = [];
     f_defs = [];
     f_unsafe_zone = false;
     f_domain_safe = false;
@@ -95,13 +100,16 @@ let empty_fragment ~file =
   }
 
 (* lib/exec/pool.ml defines Exec.Pool (each lib/ directory is a wrapped
-   library whose name is the directory); bin/bench/test executables are
+   library whose name is the directory) and a library's main module
+   lib/core/core.ml is Core itself; bin/bench/test executables are
    unwrapped, so their files answer to the bare module name. *)
 let modpath_of_file file =
   let modname base =
     String.capitalize_ascii (Filename.remove_extension base)
   in
   match String.split_on_char '/' file with
+  | [ "lib"; dir; base ] when Filename.remove_extension base = dir ->
+      [ String.capitalize_ascii dir ]
   | [ "lib"; dir; base ] -> [ String.capitalize_ascii dir; modname base ]
   | segs -> (
       match List.rev segs with base :: _ -> [ modname base ] | [] -> [])
@@ -246,6 +254,7 @@ type ctx = {
   mutable modstack : string list;  (* reversed nested-module names *)
   mutable opens : string list list;
   mutable aliases : (string * string list) list;
+  mutable exports : (string list * string list) list;
   mutable defs : def list;  (* reversed *)
   mutable parallel_sites : (pos * string) list;
   mutable cur : def_builder option;
@@ -538,7 +547,10 @@ and walk_structure_item ctx si =
 and walk_module_binding ctx mb =
   match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
   | Some n, Pmod_ident { txt; _ } ->
-      ctx.aliases <- (n, longident_path txt) :: ctx.aliases
+      let target = longident_path txt in
+      ctx.aliases <- (n, target) :: ctx.aliases;
+      if ctx.cur = None then
+        ctx.exports <- (List.rev (n :: ctx.modstack), target) :: ctx.exports
   | name, _ ->
       let saved = ctx.modstack in
       (match name with Some n -> ctx.modstack <- n :: ctx.modstack | None -> ());
@@ -600,6 +612,7 @@ let extract ~file ~(marks : Attrs.file_marks) (str : structure) =
       modstack = List.rev modpath;
       opens = [];
       aliases = [];
+      exports = [];
       defs = [];
       parallel_sites = [];
       cur = None;
@@ -616,6 +629,7 @@ let extract ~file ~(marks : Attrs.file_marks) (str : structure) =
     f_modpath = modpath;
     f_opens = List.rev ctx.opens;
     f_aliases = List.rev ctx.aliases;
+    f_exports = List.rev ctx.exports;
     f_defs = List.rev ctx.defs;
     f_unsafe_zone = marks.unsafe_zone <> None;
     f_domain_safe = marks.domain_safe <> None;
@@ -641,6 +655,8 @@ type t = {
   roots : (int * string) list;  (* (node, primitive) escape roots *)
   suffix_tbl : (string, int list) Hashtbl.t;
   local_tbl : (string * string, int list) Hashtbl.t;
+  export_tbl : (string, string list list) Hashtbl.t;
+      (* every fragment's [f_exports], under the same dotted suffixes *)
 }
 
 let key path = String.concat "." path
@@ -654,10 +670,31 @@ let add_tbl tbl k id =
   let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
   if not (List.mem id prev) then Hashtbl.replace tbl k (id :: prev)
 
+(* [path] plus its rewrites through another module's alias: the longest
+   module prefix naming an exported alias is replaced by the alias
+   target, so [Core.Image.distribute] also reads as
+   [Workloads.Image.distribute].  [fuel] bounds alias chains. *)
+let rec expand_exports t fuel path =
+  let rec longest k =
+    if k < 2 || fuel = 0 then []
+    else
+      match
+        Hashtbl.find_opt t.export_tbl (key (List.filteri (fun i _ -> i < k) path))
+      with
+      | Some targets ->
+          let rest = List.filteri (fun i _ -> i >= k) path in
+          List.concat_map
+            (fun target -> expand_exports t (fuel - 1) (target @ rest))
+            targets
+      | None -> longest (k - 1)
+  in
+  path :: longest (List.length path - 1)
+
 (* Resolve a reference path seen in [frag] to node ids.  Unqualified
    names resolve against same-file top-level bindings (plus anything a
    file-wide [open] brings in); qualified names resolve by dotted-path
-   suffix, with module aliases expanded first. *)
+   suffix, with the file's own module aliases expanded first and other
+   modules' exported aliases after. *)
 let resolve t frag path =
   let path =
     match path with
@@ -683,7 +720,11 @@ let resolve t frag path =
         t.fragments.(frag).f_opens
       |> List.sort_uniq compare
   | _ ->
-      Option.value ~default:[] (Hashtbl.find_opt t.suffix_tbl (key path))
+      List.concat_map
+        (fun p ->
+          Option.value ~default:[] (Hashtbl.find_opt t.suffix_tbl (key p)))
+        (expand_exports t 4 path)
+      |> List.sort_uniq compare
 
 (* Resolve a dotted name (e.g. an [@nldl.bounds_validated] payload) from
    anywhere: suffix match, falling back to same-file locals. *)
@@ -731,6 +772,16 @@ let build fragments =
             (suffixes qualified))
         node.n_names)
     nodes;
+  let export_tbl = Hashtbl.create 256 in
+  Array.iter
+    (fun frag ->
+      List.iter
+        (fun (path, target) ->
+          List.iter
+            (fun sfx -> add_tbl export_tbl (key sfx) target)
+            (suffixes path))
+        frag.f_exports)
+    fragments;
   let t =
     {
       fragments;
@@ -739,6 +790,7 @@ let build fragments =
       roots = [];
       suffix_tbl;
       local_tbl;
+      export_tbl;
     }
   in
   let roots = ref [] in

@@ -57,6 +57,9 @@ type fragment = {
   f_modpath : string list;
   f_opens : string list list;
   f_aliases : (string * string list) list;
+  f_exports : (string list * string list) list;
+      (** structure-level [module X = P] aliases, keyed by [X]'s
+          qualified path; other files' references expand through them *)
   f_defs : def list;
   f_unsafe_zone : bool;
   f_domain_safe : bool;
@@ -104,8 +107,9 @@ val def_of : t -> int -> fragment * def
 
 val resolve : t -> int -> string list -> int list
 (** [resolve t frag path] resolves a reference path seen in fragment
-    index [frag] (aliases expanded, opens tried for unqualified names,
-    dotted-suffix match otherwise). *)
+    index [frag] (the file's own aliases expanded, opens tried for
+    unqualified names, dotted-suffix match otherwise, also through other
+    modules' exported aliases such as [Core.Image]). *)
 
 val resolve_name : t -> file:string -> string -> int list
 (** Resolve a dotted name from an attribute payload (e.g.

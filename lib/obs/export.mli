@@ -49,12 +49,10 @@ val trace_json : ?max_events:int -> unit -> Json.t
 val write_trace : ?max_events:int -> string -> unit
 
 val metrics_json : unit -> Json.t
-(** Render {!Metrics.snapshot} as
-    [{"counters", "gauges", "histograms", "hists", "trace"}]:
-    fixed-bucket histograms gain a ["quantiles"] object (p50/p90/p99,
-    interpolated) when non-empty; ["hists"] renders every {!Hist}
-    summary with count/sum/min/max/mean, p50/p90/p99 estimates and its
-    non-zero [lo, hi, count] buckets; ["trace"] surfaces the span
-    tracer's recorded/dropped counts (total and per domain). *)
+(** Render {!Metrics.snapshot} as [{"counters", "gauges", "hists",
+    "trace"}]: ["hists"] renders every {!Hist} summary with
+    count/sum/min/max/mean, p50/p90/p99 estimates and its non-zero
+    [lo, hi, count] buckets; ["trace"] surfaces the span tracer's
+    recorded/dropped counts (total and per domain). *)
 
 val write_metrics : string -> unit

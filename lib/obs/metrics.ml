@@ -1,9 +1,8 @@
-(* Metrics registry: named counters, gauges and fixed-bucket histograms.
+(* Metrics registry: named counters and gauges.
 
-   Counters and histograms are sharded per domain: every domain that
-   touches a metric owns a private slot array (obtained through
-   [Domain.DLS], registered globally on first touch), so a hot-path
-   increment is a plain unsynchronized write to domain-local memory —
+   Counters are sharded per domain: every domain that touches a counter
+   owns a private slot array (obtained through [Domain.DLS], registered
+   globally on first touch), so a hot-path increment is a plain unsynchronized write to domain-local memory —
    no atomics, no contention, and no false sharing because each
    domain's slots live in their own heap blocks.  Shards are merged
    only at {!snapshot} time.
@@ -13,9 +12,8 @@
    nothing. *)
 
 [@@@nldl.unsafe_zone
-  "counter/histogram slots are indexed by dense metric ids after \
-   grow_counts/hist_slots guarantee the shard arrays cover the id, and the \
-   bucket scan is bounded by |h_bounds| (U-audit 2026-08)"]
+  "counter slots are indexed by dense counter ids after grow_counts \
+   guarantees the shard array covers the id (U-audit 2026-08)"]
 [@@@nldl.domain_safe
   "registry lists and counts are mutated only under [mutex]; hot-path \
    increments go to this domain's DLS shard, merged at snapshot under the \
@@ -27,36 +25,22 @@ let enabled () = Atomic.get enabled_flag
 
 type counter = { c_id : int; c_name : string }
 type gauge = { g_name : string; mutable g_value : float }
-type histogram = { h_id : int; h_name : string; h_bounds : float array }
 
-(* Shard of one domain: slot arrays indexed by metric id, grown under
-   the registry mutex when a metric registered later is first touched
-   from this domain. *)
-type shard = {
-  mutable s_counts : int array;
-  mutable s_hists : int array array;
-}
+(* Shard of one domain: slots indexed by counter id, grown under the
+   registry mutex when a counter registered later is first touched from
+   this domain. *)
+type shard = { mutable s_counts : int array }
 
 let mutex = Mutex.create ()
 let counters : counter list ref = ref [] (* reverse registration order *)
 let gauges : gauge list ref = ref []
-let histograms : histogram list ref = ref []
 let n_counters = ref 0
-let n_histograms = ref 0
 let shards : shard list ref = ref []
 
 let shard_key =
   Domain.DLS.new_key (fun () ->
       Mutex.lock mutex;
-      let s =
-        {
-          s_counts = Array.make (max 8 !n_counters) 0;
-          s_hists =
-            Array.init !n_histograms (fun _ -> [||]);
-        }
-      in
-      (* Bucket arrays are filled in lazily by [hist_slots]; ids are
-         dense so positional init is enough. *)
+      let s = { s_counts = Array.make (max 8 !n_counters) 0 } in
       shards := s :: !shards;
       Mutex.unlock mutex;
       s)
@@ -88,25 +72,6 @@ let gauge name =
   Mutex.unlock mutex;
   g
 
-let histogram name ~bounds =
-  if Array.length bounds = 0 then invalid_arg "Metrics.histogram: empty bounds";
-  for i = 0 to Array.length bounds - 2 do
-    if bounds.(i) >= bounds.(i + 1) then
-      invalid_arg "Metrics.histogram: bounds must be strictly increasing"
-  done;
-  Mutex.lock mutex;
-  let h =
-    match List.find_opt (fun h -> h.h_name = name) !histograms with
-    | Some h -> h
-    | None ->
-        let h = { h_id = !n_histograms; h_name = name; h_bounds = Array.copy bounds } in
-        incr n_histograms;
-        histograms := h :: !histograms;
-        h
-  in
-  Mutex.unlock mutex;
-  h
-
 (* Slow path: the counter was registered after this domain's shard was
    created.  Grow under the mutex so [snapshot] never sees a torn
    shard. *)
@@ -131,50 +96,9 @@ let incr_counter c = add c 1
 
 let set_gauge g v = if Atomic.get enabled_flag then g.g_value <- v
 
-let hist_slots s (h : histogram) =
-  if h.h_id >= Array.length s.s_hists || Array.length s.s_hists.(h.h_id) = 0 then begin
-    Mutex.lock mutex;
-    if h.h_id >= Array.length s.s_hists then begin
-      let grown = Array.make (max (h.h_id + 1) (2 * max 1 (Array.length s.s_hists))) [||] in
-      Array.blit s.s_hists 0 grown 0 (Array.length s.s_hists);
-      s.s_hists <- grown
-    end;
-    if Array.length s.s_hists.(h.h_id) = 0 then
-      s.s_hists.(h.h_id) <- Array.make (Array.length h.h_bounds + 1) 0;
-    Mutex.unlock mutex
-  end;
-  s.s_hists.(h.h_id)
-
-let observe_enabled h v =
-  let s = Domain.DLS.get shard_key in
-  let slots = hist_slots s h in
-  let bounds = h.h_bounds in
-  let m = Array.length bounds in
-  (* First bucket whose upper bound exceeds [v]; the last bucket is
-     the +inf overflow.  Linear scan: bound arrays are short. *)
-  let b = ref 0 in
-  while !b < m && v >= Array.unsafe_get bounds !b do
-    Stdlib.incr b
-  done;
-  Array.unsafe_set slots !b (Array.unsafe_get slots !b + 1)
-
-let observe h v = if Atomic.get enabled_flag then observe_enabled h v
-
-(* The int variant keeps the disabled path allocation-free: the float
-   conversion (which boxes at the call boundary) only happens once the
-   flag check has passed. *)
-let observe_int h v =
-  if Atomic.get enabled_flag then observe_enabled h (float_of_int v)
-
 (* --- snapshot ---------------------------------------------------------- *)
 
-type hist_snapshot = { bounds : float array; buckets : int array; total : int }
-
-type snapshot = {
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  histograms : (string * hist_snapshot) list;
-}
+type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 
 let snapshot () =
   Mutex.lock mutex;
@@ -191,63 +115,13 @@ let snapshot () =
       !counters
   in
   let gauge_values = List.rev_map (fun g -> (g.g_name, g.g_value)) !gauges in
-  let hist_sums =
-    List.rev_map
-      (fun h ->
-        let buckets = Array.make (Array.length h.h_bounds + 1) 0 in
-        List.iter
-          (fun s ->
-            if h.h_id < Array.length s.s_hists then
-              let slots = s.s_hists.(h.h_id) in
-              Array.iteri (fun i v -> buckets.(i) <- buckets.(i) + v) slots)
-          !shards;
-        ( h.h_name,
-          {
-            bounds = Array.copy h.h_bounds;
-            buckets;
-            total = Array.fold_left ( + ) 0 buckets;
-          } ))
-      !histograms
-  in
   Mutex.unlock mutex;
-  { counters = counter_sums; gauges = gauge_values; histograms = hist_sums }
+  { counters = counter_sums; gauges = gauge_values }
 
 let reset () =
   Mutex.lock mutex;
-  List.iter
-    (fun s ->
-      Array.fill s.s_counts 0 (Array.length s.s_counts) 0;
-      Array.iter (fun slots -> Array.fill slots 0 (Array.length slots) 0) s.s_hists)
-    !shards;
+  List.iter (fun s -> Array.fill s.s_counts 0 (Array.length s.s_counts) 0) !shards;
   List.iter (fun g -> g.g_value <- Float.nan) !gauges;
   Mutex.unlock mutex
 
 let counter_value snap name = List.assoc_opt name snap.counters
-
-(* Rank-based quantile with linear interpolation inside the containing
-   bucket.  The first bucket interpolates from 0; the +inf overflow
-   bucket is clamped to the last finite bound (the snapshot holds no
-   information beyond it). *)
-let hist_quantile (h : hist_snapshot) q =
-  if h.total = 0 then Float.nan
-  else begin
-    let q = if q < 0. then 0. else if q > 1. then 1. else q in
-    let rank = q *. float_of_int h.total in
-    let m = Array.length h.bounds in
-    let i = ref 0 and cum = ref 0 in
-    while !i <= m && float_of_int (!cum + h.buckets.(min !i m)) < rank do
-      cum := !cum + h.buckets.(!i);
-      incr i
-    done;
-    if !i >= m then h.bounds.(m - 1)
-    else begin
-      let lo = if !i = 0 then 0. else h.bounds.(!i - 1) in
-      let hi = h.bounds.(!i) in
-      let in_bucket = h.buckets.(!i) in
-      if in_bucket = 0 then hi
-      else
-        let frac = (rank -. float_of_int !cum) /. float_of_int in_bucket in
-        let frac = if frac < 0. then 0. else if frac > 1. then 1. else frac in
-        lo +. (frac *. (hi -. lo))
-    end
-  end

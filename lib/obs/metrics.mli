@@ -1,14 +1,14 @@
-(** Metrics registry: named counters, gauges and fixed-bucket latency
-    histograms, sharded per domain.
+(** Metrics registry: named counters and gauges, counters sharded per
+    domain.  Latency distributions live in {!Hist}.
 
-    Counter and histogram increments write to domain-private slot
+    Counter increments write to domain-private slot
     arrays (one shard per domain, created on first touch), so hot-path
     updates never contend and never share cache lines across domains;
     shards are merged only by {!snapshot}.  Everything is gated on one
     atomic flag: while disabled (the default) each operation is a
     single flag load and allocates zero words.
 
-    Registration ([counter], [gauge], [histogram]) is idempotent by
+    Registration ([counter], [gauge]) is idempotent by
     name and cheap but takes a mutex — register at module init or
     outside hot loops.  {!snapshot} taken while other domains are
     actively incrementing may lag by in-flight updates; taken at a
@@ -19,7 +19,6 @@ val enabled : unit -> bool
 
 type counter
 type gauge
-type histogram
 
 val counter : string -> counter
 (** Register (or look up) a counter. *)
@@ -33,26 +32,7 @@ val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 (** Last write wins across domains. *)
 
-val histogram : string -> bounds:float array -> histogram
-(** Register a histogram with the given strictly-increasing bucket
-    upper bounds; an implicit +inf overflow bucket is appended.
-    Raises [Invalid_argument] on empty or non-increasing bounds. *)
-
-val observe : histogram -> float -> unit
-(** Count [v] into the first bucket whose bound exceeds it. *)
-
-val observe_int : histogram -> int -> unit
-(** [observe] of an integer sample (e.g. nanoseconds); the float
-    conversion happens after the enabled check, so the disabled path
-    stays allocation-free. *)
-
-type hist_snapshot = { bounds : float array; buckets : int array; total : int }
-
-type snapshot = {
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  histograms : (string * hist_snapshot) list;
-}
+type snapshot = { counters : (string * int) list; gauges : (string * float) list }
 
 val snapshot : unit -> snapshot
 (** Merge all shards; names in registration order. *)
@@ -61,9 +41,3 @@ val reset : unit -> unit
 (** Zero every shard and reset gauges to NaN.  Registrations remain. *)
 
 val counter_value : snapshot -> string -> int option
-
-val hist_quantile : hist_snapshot -> float -> float
-(** [hist_quantile h q] estimates the [q]-quantile by linear
-    interpolation inside the bucket containing rank [q * total];
-    samples in the +inf overflow bucket clamp to the last finite
-    bound.  NaN when the histogram is empty. *)

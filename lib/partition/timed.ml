@@ -61,39 +61,4 @@ let hom_balanced ?target_imbalance star ~n =
   let result = Block_hom.commhom_over_k ?target_imbalance star ~n in
   hom ~k:result.Block_hom.k star ~n
 
-let het_shared_backbone star ~n ~backbone =
-  if n <= 0. then invalid_arg "Timed.het_shared_backbone: n must be > 0";
-  if backbone <= 0. then invalid_arg "Timed.het_shared_backbone: backbone must be > 0";
-  let layout = Column_partition.peri_sum_layout ~areas:(Star.relative_speeds star) in
-  let workers = Star.workers star in
-  let p = Star.size star in
-  (* Link 0 is the backbone; link i+1 is worker i's private link. *)
-  let links =
-    Array.init (p + 1) (fun l ->
-        if l = 0 then { Des.Fluid.capacity = backbone }
-        else { Des.Fluid.capacity = workers.(l - 1).Processor.bandwidth })
-  in
-  let flows =
-    Array.to_list
-      (Array.mapi
-         (fun i rect ->
-           Des.Fluid.make_flow ~id:i
-             ~size:(n *. Rect.half_perimeter rect)
-             ~links:[ 0; i + 1 ] ())
-         layout.Layout.rects)
-  in
-  let completions = Des.Fluid.run ~links ~flows in
-  let fetch_end = Array.make p 0. in
-  List.iter
-    (fun c -> fetch_end.(c.Des.Fluid.flow) <- c.Des.Fluid.finish)
-    completions;
-  let per_worker =
-    Array.mapi
-      (fun i rect ->
-        let cells = n *. n *. Rect.area rect in
-        fetch_end.(i) +. Processor.compute_time workers.(i) ~work:cells)
-      layout.Layout.rects
-  in
-  of_finish_times ~comm:fetch_end per_worker
-
 let compute_bound star ~n = n *. n /. Star.total_speed star

@@ -27,13 +27,5 @@ val hom : ?k:int -> Platform.Star.t -> n:float -> timing
 val hom_balanced : ?target_imbalance:float -> Platform.Star.t -> n:float -> timing
 (** [Commhom/k]: the subdivision picked by the balance search. *)
 
-val het_shared_backbone :
-  Platform.Star.t -> n:float -> backbone:float -> timing
-(** Like {!het} but all fetches traverse a shared backbone of the given
-    capacity in addition to each worker's private link, with max-min
-    fair sharing ({!Des.Fluid}): the contention model the paper's
-    parallel-links assumption abstracts away.  With an ample backbone
-    this converges to {!het}. *)
-
 val compute_bound : Platform.Star.t -> n:float -> float
 (** [n² / Σ s_i]: the communication-free lower bound on the makespan. *)

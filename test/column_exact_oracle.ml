@@ -1,7 +1,16 @@
+(* Brute-force optimum over the whole column-based class — every way of
+   grouping the zones into columns, contiguous in sorted order or not —
+   for small instances.  [Test_wave3] checks that the O(p²) dynamic
+   program of [Partition.Column_partition] (which only searches
+   contiguous groups of the sorted areas) is exact within the class for
+   PERI-SUM, per the structure theorem of Beaumont-Boudet-Rastello-Robert,
+   and never beats it for PERI-MAX.  Exponential (Bell-number) search:
+   raises [Invalid_argument] for more than 10 areas. *)
+
 let check areas =
   if Array.length areas > 10 then
-    invalid_arg "Partition.Exact: exhaustive search limited to 10 areas";
-  if Array.length areas = 0 then invalid_arg "Partition.Exact: empty areas"
+    invalid_arg "Column_exact_oracle: exhaustive search limited to 10 areas";
+  if Array.length areas = 0 then invalid_arg "Column_exact_oracle: empty areas"
 
 (* Enumerate set partitions: [visit groups] is called for every
    partition of indices [0..n-1] into non-empty groups (as lists). *)
@@ -32,6 +41,8 @@ let optimize ~areas ~column_cost ~combine ~neutral =
       if cost < !best then best := cost);
   !best
 
+(* Minimum [Σ_c (k_c·w_c + 1)] over all set partitions of the areas
+   into columns. *)
 let peri_sum_cost ~areas =
   let column_cost group =
     let width = List.fold_left (fun acc i -> acc +. areas.(i)) 0. group in
@@ -39,6 +50,7 @@ let peri_sum_cost ~areas =
   in
   optimize ~areas ~column_cost ~combine:( +. ) ~neutral:0.
 
+(* Same for the PERI-MAX objective [max_c (w_c + a_max(c)/w_c)]. *)
 let peri_max_cost ~areas =
   let column_cost group =
     let width = List.fold_left (fun acc i -> acc +. areas.(i)) 0. group in

@@ -3,7 +3,6 @@
    repository's "global" consistency laws. *)
 
 module Star = Platform.Star
-module Processor = Platform.Processor
 module Rng = Numerics.Rng
 
 let random_star ?(min_p = 1) ?(max_p = 12) seed =
@@ -80,16 +79,6 @@ let steady_state_bounds_batch =
       let throughput = (Dlt.Steady_state.one_port star).Dlt.Steady_state.throughput in
       Dlt.Linear.one_port_makespan star ~total:100. >= (100. /. throughput) -. 1e-6)
 
-(* Return messages only add time, and delta = 0 is free. *)
-let returns_monotone =
-  qtest "return volume only increases the makespan" (fun seed ->
-      let star = random_star seed in
-      let allocation = Dlt.Linear.one_port_allocation star ~total:40. in
-      let span delta =
-        Dlt.Return_messages.makespan ~delta Dlt.Return_messages.Fifo star ~allocation
-      in
-      span 0. <= span 0.5 +. 1e-9 && span 0.5 <= span 2. +. 1e-9)
-
 (* The sorting gap formula agrees with the measured divisible fraction
    for equal buckets. *)
 let sorting_gap_consistency =
@@ -118,25 +107,6 @@ let multi_round_base_case =
       in
       Float.abs (simulated -. Dlt.Linear.parallel_makespan star ~total:30.) < 1e-6)
 
-(* Fluid with dedicated links reproduces the independent-link model. *)
-let fluid_dedicated_links =
-  qtest "fluid with private links = independent transfer times" (fun seed ->
-      let star = random_star ~min_p:1 ~max_p:6 seed in
-      let workers = Star.workers star in
-      let links =
-        Array.map (fun (p : Processor.t) -> { Des.Fluid.capacity = p.Processor.bandwidth }) workers
-      in
-      let flows =
-        Array.to_list
-          (Array.mapi (fun i _ -> Des.Fluid.make_flow ~id:i ~size:10. ~links:[ i ] ()) workers)
-      in
-      let completions = Des.Fluid.run ~links ~flows in
-      List.for_all
-        (fun c ->
-          let proc = workers.(c.Des.Fluid.flow) in
-          Float.abs (c.Des.Fluid.finish -. (10. /. proc.Processor.bandwidth)) < 1e-6)
-        completions)
-
 let suites =
   [
     ( "cross-module invariants",
@@ -149,9 +119,7 @@ let suites =
           peri_sum_guarantee;
           zones_track_layout;
           steady_state_bounds_batch;
-          returns_monotone;
           sorting_gap_consistency;
           multi_round_base_case;
-          fluid_dedicated_links;
         ] );
   ]

@@ -72,6 +72,21 @@ let callgraph =
         Alcotest.(check bool)
           "tick -> bump edge" true
           (List.mem bump (Lint.Callgraph.succs g tick)));
+    Alcotest.test_case "call through another module's alias resolves" `Quick
+      (fun () ->
+        let g, _, _ =
+          Lint.Driver.analyze_strings
+            [
+              ("lib/fix/state.ml", state_ml);
+              ("lib/facade/facade.ml", "module St = Fix.State\n");
+              ("examples/app.ml", "let tick () = Facade.St.bump ()\n");
+            ]
+        in
+        let bump = node_of g "Fix.State.bump" in
+        let tick = node_of g "App.tick" in
+        Alcotest.(check bool)
+          "tick -> bump edge" true
+          (List.mem bump (Lint.Callgraph.succs g tick)));
     Alcotest.test_case "unresolved external ref yields no edge" `Quick
       (fun () ->
         let g, _, _ =
@@ -458,6 +473,51 @@ let real_tree =
                  (List.map Lint.Finding.key r.fresh)));
   ]
 
+(* Every lib/ implementation must define something an executable can
+   reach: the graph over lib/ and the entry directories, rooted at every
+   definition in bin/, bench/, examples/ and perfbench/, must touch each
+   lib/**/*.ml.  No allowlist: a module reachable only from tests or the
+   Core facade's aliases fails here. *)
+let entry_dirs = [ "bin"; "bench"; "examples"; "perfbench" ]
+
+let unreachable_lib_files g =
+  let file id = (Lint.Callgraph.node g id).Lint.Callgraph.n_file in
+  let seen = Array.make (Lint.Callgraph.node_count g) false in
+  let reached = Hashtbl.create 256 in
+  let rec visit id =
+    if not seen.(id) then begin
+      seen.(id) <- true;
+      Hashtbl.replace reached (file id) ();
+      List.iter visit (Lint.Callgraph.succs g id)
+    end
+  in
+  for id = 0 to Array.length seen - 1 do
+    if List.exists (fun d -> String.starts_with ~prefix:(d ^ "/") (file id)) entry_dirs
+    then visit id
+  done;
+  List.filter_map
+    (fun (f : Lint.Callgraph.fragment) ->
+      if
+        String.starts_with ~prefix:"lib/" f.f_file
+        && Filename.check_suffix f.f_file ".ml"
+        && not (Hashtbl.mem reached f.f_file)
+      then Some f.f_file
+      else None)
+    (Lint.Callgraph.fragments g)
+
+let reachability =
+  [
+    Alcotest.test_case "every lib module reachable from an entry point" `Quick
+      (fun () ->
+        match find_repo_root (Sys.getcwd ()) with
+        | None -> ()
+        | Some root ->
+            let r = Lint.Driver.run ~root ~roots:("lib" :: entry_dirs) () in
+            Alcotest.(check (list string))
+              "lib/ files with no reachable definition" []
+              (unreachable_lib_files r.graph));
+  ]
+
 let suites =
   [
     ("lint2.callgraph", callgraph);
@@ -467,5 +527,5 @@ let suites =
     ("lint2.r403", r403);
     ("lint2.robustness", robustness);
     ("lint2.cache", cache);
-    ("lint2.real_tree", real_tree);
+    ("lint2.real_tree", real_tree @ reachability);
   ]

@@ -136,23 +136,6 @@ let test_metrics_disabled_noop () =
   checkb "stays zero while disabled" true
     (Metrics.counter_value snap "obs_test.noop" = Some 0)
 
-let test_metrics_counter_and_histogram () =
-  let c = Metrics.counter "obs_test.events" in
-  let h = Metrics.histogram "obs_test.latency" ~bounds:[| 10.; 100.; 1000. |] in
-  with_metrics (fun () ->
-      for i = 1 to 100 do
-        Metrics.incr_counter c;
-        Metrics.observe_int h i
-      done);
-  let snap = Metrics.snapshot () in
-  checkb "counter sums" true (Metrics.counter_value snap "obs_test.events" = Some 100);
-  match List.assoc_opt "obs_test.latency" snap.Metrics.histograms with
-  | None -> Alcotest.fail "histogram missing from snapshot"
-  | Some hs ->
-      checki "total observations" 100 hs.Metrics.total;
-      (* 1..9 | 10..99 | 100 | - *)
-      checkb "bucketed correctly" true (hs.Metrics.buckets = [| 9; 90; 1; 0 |])
-
 let test_metrics_registration_idempotent () =
   let a = Metrics.counter "obs_test.same" in
   let b = Metrics.counter "obs_test.same" in
@@ -199,13 +182,14 @@ let minor_words_of f =
 let test_disabled_zero_allocation () =
   Trace.set_enabled false;
   Metrics.set_enabled false;
+  Hist.set_enabled false;
   let c = Metrics.counter "obs_test.alloc" in
-  let h = Metrics.histogram "obs_test.alloc_h" ~bounds:[| 1.; 2. |] in
+  let h = Hist.create "obs_test.alloc_h" in
   (* Warm-up: DLS shards, ring buffers and any lazy setup. *)
   Trace.begin_span "warm";
   Trace.end_span "warm";
   Metrics.incr_counter c;
-  Metrics.observe_int h 1;
+  Hist.record h 1;
   let words =
     minor_words_of (fun () ->
         for i = 1 to 10_000 do
@@ -214,7 +198,7 @@ let test_disabled_zero_allocation () =
           Trace.end_span "hot";
           Metrics.incr_counter c;
           Metrics.add c 2;
-          Metrics.observe_int h i
+          Hist.record h i
         done)
   in
   checkb
@@ -372,6 +356,27 @@ let test_hist_disabled_records_nothing () =
   Hist.record h 7;
   Hist.record_s h 1.0;
   checki "stays empty while disabled" 0 (Hist.snapshot_one h).Hist.count
+
+(* The pool's per-submission latency is a [Hist] like every other
+   latency: recorded while Hist is on, absent while it is off.  Two
+   domains, so [parallel_for] takes the submission path rather than the
+   sequential fallback. *)
+let test_pool_submit_latency_in_hist () =
+  let recorded () =
+    List.exists
+      (fun (s : Hist.summary) ->
+        s.Hist.s_name = "pool.submit_latency_ns" && s.Hist.count > 0)
+      (Hist.snapshot ())
+  in
+  let pool = Exec.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.teardown pool)
+    (fun () ->
+      with_hists (fun () -> Exec.Pool.parallel_for pool 64 ignore);
+      checkb "recorded with Hist on" true (recorded ());
+      Hist.reset ();
+      Exec.Pool.parallel_for pool 64 ignore;
+      checkb "absent with Hist off" false (recorded ()))
 
 let qcheck_hist_quantile_error_bound =
   QCheck.Test.make ~name:"quantile within one bucket width of exact" ~count:60
@@ -660,8 +665,6 @@ let suites =
     ( "obs metrics",
       [
         Alcotest.test_case "disabled no-op" `Quick test_metrics_disabled_noop;
-        Alcotest.test_case "counter and histogram" `Quick
-          test_metrics_counter_and_histogram;
         Alcotest.test_case "registration idempotent" `Quick
           test_metrics_registration_idempotent;
         Alcotest.test_case "sharded merge = sequential" `Quick
@@ -685,6 +688,8 @@ let suites =
           test_hist_sharded_merge_matches_sequential;
         Alcotest.test_case "enabled records allocate zero" `Quick
           test_hist_recording_allocation_free;
+        Alcotest.test_case "pool submit latency" `Quick
+          test_pool_submit_latency_in_hist;
       ] );
     ( "obs sample",
       [

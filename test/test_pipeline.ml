@@ -1,62 +1,6 @@
-(* MapReduce job pipelines and the recurring-event engine helper. *)
-
-module Pipeline = Mapreduce.Pipeline
-module Engine_mr = Mapreduce.Engine
-module Jobs = Mapreduce.Jobs
-module Task = Mapreduce.Task
-module Matrix = Linalg.Matrix
-module Star = Platform.Star
-module Rng = Numerics.Rng
+(* The recurring-event engine helper. *)
 
 let checkb = Alcotest.(check bool)
-let checkf msg ?(eps = 1e-9) expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
-let star = Star.of_speeds [ 1.; 2. ]
-
-let test_matmul_pipeline () =
-  let rng = Rng.create ~seed:151 () in
-  let n = 8 and chunk = 2 in
-  let a = Matrix.random rng ~rows:n ~cols:n in
-  let b = Matrix.random rng ~rows:n ~cols:n in
-  let steps = Pipeline.matmul ~a:(Matrix.get a) ~b:(Matrix.get b) ~n ~chunk in
-  let result, stats = Pipeline.run star ~init:(Array.make (n * n) 0.) ~steps in
-  let reference = Matrix.mul a b in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      checkf "C(i,j)" ~eps:1e-9 (Matrix.get reference i j) result.((i * n) + j)
-    done
-  done;
-  Alcotest.(check int) "two steps" 2 (List.length stats.Pipeline.steps);
-  checkb "stats accumulate" true
-    (stats.Pipeline.communication > 0. && stats.Pipeline.makespan > 0.)
-
-let test_pipeline_step_order () =
-  (* A two-step counter pipeline: step 2 sees step 1's result. *)
-  let counting name =
-    Pipeline.Step
-      {
-        name;
-        job =
-          (fun count ->
-            {
-              Engine_mr.tasks = [| Task.make ~id:0 ~data_ids:[| 0 |] ~cost:1. |];
-              execute = (fun _ -> [ ("count", count + 1) ]);
-              block_size = (fun _ -> 1.);
-            });
-        reduce = (fun _ vs -> List.fold_left ( + ) 0 vs);
-        collect = (fun _ output -> List.assoc "count" output);
-      }
-  in
-  let final, stats = Pipeline.run star ~init:0 ~steps:[ counting "one"; counting "two" ] in
-  Alcotest.(check int) "threaded state" 2 final;
-  Alcotest.(check (list string)) "step names" [ "one"; "two" ]
-    (List.map (fun (n, _, _) -> n) stats.Pipeline.steps)
-
-let test_pipeline_empty () =
-  let final, stats = Pipeline.run star ~init:42 ~steps:[] in
-  Alcotest.(check int) "state unchanged" 42 final;
-  checkf "no cost" 0. stats.Pipeline.communication
 
 let test_engine_every () =
   let engine = Des.Engine.create () in
@@ -88,12 +32,6 @@ let test_engine_every_bad_period () =
 
 let suites =
   [
-    ( "mapreduce pipeline",
-      [
-        Alcotest.test_case "matmul pipeline" `Quick test_matmul_pipeline;
-        Alcotest.test_case "step order" `Quick test_pipeline_step_order;
-        Alcotest.test_case "empty pipeline" `Quick test_pipeline_empty;
-      ] );
     ( "recurring events",
       [
         Alcotest.test_case "every + cancel" `Quick test_engine_every;
