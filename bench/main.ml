@@ -107,6 +107,11 @@ let test_demand_driven =
   Test.make ~name:"demand-driven blocks (p=100, k=2)"
     (Staged.stage (fun () -> ignore (Core.Block_hom.demand_driven star ~n:1e6 ~k:2)))
 
+let test_commhom_search =
+  let star = bench_platform 100 in
+  Test.make ~name:"Commhom/k search (p=100, log-normal)"
+    (Staged.stage (fun () -> ignore (Core.Block_hom.commhom_over_k star ~n:1e6)))
+
 let test_nonlinear_solver =
   let star = bench_platform 64 in
   Test.make ~name:"nonlinear DLT solve (p=64, alpha=2)"
@@ -1132,6 +1137,7 @@ let run_micro_benchmarks () =
       test_peri_sum;
       test_peri_max;
       test_demand_driven;
+      test_commhom_search;
       test_nonlinear_solver;
       test_sample_sort;
       test_histogram_sort;

@@ -29,7 +29,7 @@ let () =
     (fun b owner ->
       if b > 0 && b mod 16 = 0 then Printf.printf "\n  ";
       Printf.printf "%x" owner)
-    schedule.Core.Block_hom.owners;
+    (Core.Block_hom.hand_out star ~n ~k:1);
   Printf.printf "\n\nBlocks per worker: ";
   Array.iter (Printf.printf "%d ") schedule.Core.Block_hom.per_worker;
   Printf.printf "\nCommunication: %.4f vs %.4f for Heterogeneous Blocks (ratio %.2f)\n"

@@ -3,9 +3,13 @@
 
    [Event_queue] pays a 4-word boxed [entry] record per push plus an
    [Some (priority, payload)] pair per pop — ~393 ns and ~10 minor words
-   per push+pop at 10k events, which caps every consumer (the MapReduce
-   scheduler, the engine, the demand-driven partitioners) far below the
-   10^5-worker x 10^6-task scale the paper sweeps need.  This module
+   per push+pop at 10k events, which capped every consumer far below
+   the 10^5-worker x 10^6-task scale the paper sweeps need.  Consumers:
+   [Mapreduce.Scheduler] (one event per task copy, depth up to 10^5),
+   [Engine] (one per scheduled handler), and [Partition.Block_hom] at
+   depth p: [tally] merges only the last p to 2p blocks of a hand-out
+   through it, and [hand_out] every block, for the one caller that
+   needs the order.  This module
    keeps the same (priority, FIFO-by-seq) ordering contract with zero
    per-operation allocation inside the module (see the [-opaque] caveat
    below for callers):

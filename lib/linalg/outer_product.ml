@@ -37,18 +37,17 @@ let[@nldl.bounds_validated "Zone.validate_tiling"] distributed ~zones a b =
   { per_worker; total = Array.fold_left ( + ) 0 per_worker; result }
 
 let[@nldl.bounds_validated "Matrix.create"] demand_driven_blocks ?(dedup = false)
-    (schedule : Partition.Block_hom.result) ~n_side a b =
+    ~workers:p ~owners ~n_side a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Outer_product.demand_driven_blocks: |a| <> |b|";
   if n_side <= 0 || n mod n_side <> 0 then
     invalid_arg "Outer_product.demand_driven_blocks: n_side must divide |a|";
   let blocks_per_side = n / n_side in
   let blocks = blocks_per_side * blocks_per_side in
-  if Array.length schedule.Partition.Block_hom.owners < blocks then
+  if Array.length owners < blocks then
     invalid_arg "Outer_product.demand_driven_blocks: schedule has too few blocks";
-  let p = Array.length schedule.Partition.Block_hom.per_worker in
   for block = 0 to blocks - 1 do
-    let owner = schedule.Partition.Block_hom.owners.(block) in
+    let owner = owners.(block) in
     if owner < 0 || owner >= p then
       invalid_arg "Outer_product.demand_driven_blocks: owner out of range"
   done;
@@ -77,7 +76,7 @@ let[@nldl.bounds_validated "Matrix.create"] demand_driven_blocks ?(dedup = false
      [n] and [block < blocks_per_side²]), so fill directly. *)
   let rd = Matrix.data result in
   for block = 0 to blocks - 1 do
-    let owner = schedule.Partition.Block_hom.owners.(block) in
+    let owner = owners.(block) in
     let brow = block / blocks_per_side and bcol = block mod blocks_per_side in
     let row0 = brow * n_side and col0 = bcol * n_side in
     per_worker.(owner) <-

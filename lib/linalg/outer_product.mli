@@ -24,11 +24,13 @@ val distributed : zones:Zone.t array -> float array -> float array -> stats
 
 val demand_driven_blocks :
   ?dedup:bool ->
-  Partition.Block_hom.result ->
+  workers:int ->
+  owners:int array ->
   n_side:int ->
   float array -> float array -> stats
-(** Execute the block schedule produced by
-    {!Partition.Block_hom.demand_driven} on actual vectors: blocks are
+(** Execute a block schedule on actual vectors: [owners.(b)] is the
+    worker (in [\[0, workers)], checked) of block [b], as produced by
+    {!Partition.Block_hom.hand_out}.  Blocks are
     laid out row-major on the [n_side × n_side] grid of blocks and each
     costs two slices of [block_side] entries ([dedup = false], default,
     the paper's accounting) or only the entries the worker has not yet

@@ -20,7 +20,6 @@ type result = {
   k : int;  (** subdivision factor (1 for plain [Commhom]) *)
   blocks : int;
   block_side : float;  (** in data units *)
-  owners : int array;  (** worker of each block, in hand-out order *)
   per_worker : int array;  (** number of blocks per worker *)
   finish_times : float array;  (** per-worker computation finish time *)
   communication : float;  (** [blocks · 2 · block_side] *)
@@ -32,8 +31,35 @@ val block_count : Platform.Star.t -> k:int -> int
 (** [max 1 (round (k²/x₁))]. *)
 
 val demand_driven : Platform.Star.t -> n:float -> k:int -> result
-(** Simulate the demand-driven hand-out with subdivision [k].
+(** Simulate the demand-driven hand-out with subdivision [k], through
+    {!tally}: bit-identical to popping every block off an event heap.
     Requires [n > 0] and [k > 0]. *)
+
+val hand_out : Platform.Star.t -> n:float -> k:int -> int array
+(** The worker of each block of [demand_driven star ~n ~k], in hand-out
+    order (a per-block event-heap merge: the one consumer that needs the
+    order, not just the counts).  Requires [n > 0] and [k > 0]. *)
+
+type tally = {
+  counts : int array;  (** blocks per worker *)
+  finish : float array;  (** finish time of each worker's last block, [0.] if none *)
+  tie_walks : int;
+      (** how many pairs of chains tied on both their next and their
+          previous start time with different steps, and had to be
+          compared further back *)
+}
+
+val tally : fetch:float array -> compute:float array -> blocks:int -> tally
+(** The demand-driven hand-out of [blocks] identical blocks: each
+    worker takes the next block the instant it is idle, FIFO among
+    equal times, and worker [i] spends [fetch.(i)] then [compute.(i)]
+    on each (its finish time from start [s] is
+    [s +. fetch.(i) +. compute.(i)]).  Bit-identical to the per-block
+    event-heap simulation, in O(blocks) float additions plus
+    O(p log p) heap work: start times below a threshold that at most
+    [blocks] of them reach are claimed by repeated addition, and only
+    the last p to 2p blocks are merged through the heap.  All times
+    must be non-negative. *)
 
 val commhom : Platform.Star.t -> n:float -> result
 (** [demand_driven ~k:1]: the paper's block size. *)

@@ -30,32 +30,29 @@ let het star ~n =
 
 let hom ?(k = 1) star ~n =
   if n <= 0. then invalid_arg "Timed.hom: n must be > 0";
-  let p = Star.size star in
   let workers = Star.workers star in
-  let blocks = Block_hom.block_count star ~k in
   let x = Star.relative_speeds star in
   let side = sqrt x.(0) *. n /. float_of_int k in
   let block_data = 2. *. side in
   let block_work = side *. side in
-  let per_worker = Array.make p 0. in
-  let comm = Array.make p 0. in
   (* Demand-driven with the fetch folded into each block's service
      time: the worker requests, receives, computes, requests again. *)
-  let queue = Des.Event_heap.create ~initial_capacity:p () in
-  for i = 0 to p - 1 do
-    Des.Event_heap.push queue ~priority:0. i
-  done;
-  for _ = 1 to blocks do
-    let now = Des.Event_heap.min_priority queue in
-    let i = Des.Event_heap.pop queue in
-    let proc = workers.(i) in
-    let fetch = Processor.transfer_time proc ~data:block_data in
-    let finish = now +. fetch +. Processor.compute_time proc ~work:block_work in
-    comm.(i) <- comm.(i) +. fetch;
-    per_worker.(i) <- finish;
-    Des.Event_heap.push queue ~priority:finish i
-  done;
-  of_finish_times ~comm per_worker
+  let fetch = Array.map (fun proc -> Processor.transfer_time proc ~data:block_data) workers in
+  let compute = Array.map (fun proc -> Processor.compute_time proc ~work:block_work) workers in
+  let t = Block_hom.tally ~fetch ~compute ~blocks:(Block_hom.block_count star ~k) in
+  (* The per-block running sum, not [count * fetch], which rounds
+     differently. *)
+  let comm =
+    Array.mapi
+      (fun i f ->
+        let sum = ref 0. in
+        for _ = 1 to t.Block_hom.counts.(i) do
+          sum := !sum +. f
+        done;
+        !sum)
+      fetch
+  in
+  of_finish_times ~comm t.Block_hom.finish
 
 let hom_balanced ?target_imbalance star ~n =
   let result = Block_hom.commhom_over_k ?target_imbalance star ~n in

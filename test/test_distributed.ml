@@ -49,18 +49,20 @@ let test_outer_rejects_bad_tiling () =
      with Invalid_argument _ -> true)
 
 (* On 4 equal workers the paper's block side for an n-domain is n/2, so
-   demand_driven with k = 1 yields exactly the 2x2 block grid the tests
+   the hand-out with k = 1 covers exactly the 2x2 block grid the tests
    below execute. *)
-let block_schedule star ~n = Partition.Block_hom.demand_driven star ~n:(float_of_int n) ~k:1
+let run_blocks ?dedup star ~n ~k a b =
+  Outer_product.demand_driven_blocks ?dedup ~workers:(Star.size star)
+    ~owners:(Partition.Block_hom.hand_out star ~n:(float_of_int n) ~k)
+    ~n_side:16 a b
 
 let test_blocks_execution_correct () =
   let rng = Rng.create ~seed:44 () in
   let n = 32 in
   let a, b = vectors rng n in
   let star4 = Star.of_speeds [ 1.; 1.; 1.; 1. ] in
-  let schedule = block_schedule star4 ~n in
   (* 4 equal workers: x1 = 1/4, 4 blocks, block side n/2 = 16. *)
-  let stats = Outer_product.demand_driven_blocks schedule ~n_side:16 a b in
+  let stats = run_blocks star4 ~n ~k:1 a b in
   checkb "block execution matches sequential" true
     (Matrix.approx_equal stats.Outer_product.result (Outer_product.sequential a b))
 
@@ -69,11 +71,10 @@ let test_blocks_comm_accounting () =
   let rng = Rng.create ~seed:45 () in
   let a, b = vectors rng n in
   let star4 = Star.of_speeds [ 1.; 1.; 1.; 1. ] in
-  let schedule = block_schedule star4 ~n in
-  let stats = Outer_product.demand_driven_blocks schedule ~n_side:16 a b in
+  let stats = run_blocks star4 ~n ~k:1 a b in
   (* 4 blocks × 2×16 entries each. *)
   Alcotest.(check int) "redundant accounting" 128 stats.Outer_product.total;
-  let dedup = Outer_product.demand_driven_blocks ~dedup:true schedule ~n_side:16 a b in
+  let dedup = run_blocks ~dedup:true star4 ~n ~k:1 a b in
   checkb "dedup never more" true (dedup.Outer_product.total <= stats.Outer_product.total)
 
 let test_dedup_reuses_cache () =
@@ -83,10 +84,9 @@ let test_dedup_reuses_cache () =
   let rng = Rng.create ~seed:46 () in
   let a, b = vectors rng n in
   let star1 = Star.of_speeds [ 1. ] in
-  let schedule = Partition.Block_hom.demand_driven star1 ~n:(float_of_int n) ~k:2 in
   (* k=2 on a 1-worker platform: 4 blocks of side 16, all owned by P0. *)
-  let redundant = Outer_product.demand_driven_blocks schedule ~n_side:16 a b in
-  let dedup = Outer_product.demand_driven_blocks ~dedup:true schedule ~n_side:16 a b in
+  let redundant = run_blocks star1 ~n ~k:2 a b in
+  let dedup = run_blocks ~dedup:true star1 ~n ~k:2 a b in
   Alcotest.(check int) "redundant = 4·32" 128 redundant.Outer_product.total;
   Alcotest.(check int) "dedup = 2n" 64 dedup.Outer_product.total
 
@@ -100,7 +100,7 @@ let test_executed_comm_equals_counted () =
   let star = Star.of_speeds [ 1.; 1.; 1.; 1. ] in
   let schedule = Partition.Block_hom.demand_driven star ~n:(float_of_int n) ~k:2 in
   (* 16 blocks of side 16. *)
-  let stats = Outer_product.demand_driven_blocks schedule ~n_side:16 a b in
+  let stats = run_blocks star ~n ~k:2 a b in
   Alcotest.(check (float 1e-9)) "executed = counted"
     schedule.Partition.Block_hom.communication
     (float_of_int stats.Outer_product.total)

@@ -53,6 +53,30 @@ let test_fig4_deterministic () =
         b.Fig4.hom.Numerics.Stats.mean
   | _ -> Alcotest.fail "expected single points"
 
+let test_fig4_pinned () =
+  (* Fig4.csv for a small sweep, as the per-block heap produced it: the
+     Commhom/k kernel must reproduce the paper's figure to the digit,
+     mean_k included. *)
+  let csv profile =
+    Fig4.csv (Fig4.sweep ~processor_counts:[ 10; 40 ] ~trials:8 ~seed:14 profile)
+  in
+  let header = [ "p"; "het_mean"; "het_sd"; "hom_mean"; "hom_sd"; "homk_mean"; "homk_sd"; "mean_k" ] in
+  let pinned = Alcotest.(pair (list string) (list (list string))) in
+  Alcotest.check pinned "uniform"
+    ( header,
+      [
+        [ "10"; "1.01934"; "0.00868153"; "2.54559"; "0.831147"; "16.9131"; "4.4043"; "6.875" ];
+        [ "40"; "1.01056"; "0.00317853"; "4.5269"; "0.824171"; "31.8888"; "5.42442"; "7.125" ];
+      ] )
+    (csv Platform.Profiles.paper_uniform);
+  Alcotest.check pinned "lognormal"
+    ( header,
+      [
+        [ "10"; "1.01949"; "0.00962528"; "2.51066"; "0.665259"; "16.7849"; "5.33944"; "6.75" ];
+        [ "40"; "1.0109"; "0.00235527"; "4.0452"; "0.437997"; "30.7656"; "5.78487"; "7.625" ];
+      ] )
+    (csv Platform.Profiles.paper_lognormal)
+
 let test_e1_exactness () =
   let rows = Nonlinear_exp.run ~alphas:[ 2. ] ~processor_counts:[ 4; 64 ] () in
   List.iter
@@ -128,6 +152,7 @@ let suites =
         Alcotest.test_case "fig4 homogeneous shape" `Quick test_fig4_homogeneous_shape;
         Alcotest.test_case "fig4 heterogeneous shape" `Slow test_fig4_heterogeneous_shape;
         Alcotest.test_case "fig4 deterministic" `Quick test_fig4_deterministic;
+        Alcotest.test_case "fig4 csv pinned" `Quick test_fig4_pinned;
         Alcotest.test_case "E1 exactness" `Quick test_e1_exactness;
         Alcotest.test_case "E1 vanishing" `Quick test_e1_vanishing_with_p;
         Alcotest.test_case "E2 gap" `Quick test_e2_gap_matches;

@@ -78,6 +78,39 @@ let test_e4_shape () =
         > 1.5 *. slow.Experiments.Time_exp.het_ratio)
   | _ -> Alcotest.fail "expected two rows"
 
+let test_hom_matches_heap_loop () =
+  (* [Timed.hom] runs the per-worker kernel; the frozen per-block heap
+     loop it replaced must give the same bits. *)
+  let bits = Int64.bits_of_float in
+  let rng = Rng.create ~seed:64 () in
+  List.iter
+    (fun (profile, bandwidth, latency) ->
+      List.iter
+        (fun p ->
+          let star = Profiles.generate ~bandwidth ~latency rng ~p profile in
+          for k = 1 to 6 do
+            List.iter
+              (fun n ->
+                let t = Timed.hom ~k star ~n in
+                let finish, comm = Block_hom_heap_oracle.timed_hom ~k star ~n in
+                let label = Printf.sprintf "p=%d k=%d n=%g bw=%g" p k n bandwidth in
+                checkb (label ^ ": finish times") true
+                  (Array.for_all2 (fun a b -> bits a = bits b) finish t.Timed.per_worker);
+                checkb (label ^ ": comm makespan") true
+                  (bits (Array.fold_left Float.max 0. comm) = bits t.Timed.comm_makespan);
+                checkb (label ^ ": makespan") true
+                  (bits (Array.fold_left Float.max 0. finish) = bits t.Timed.makespan))
+              [ 3.7; 1e3 ]
+          done)
+        [ 1; 7; 40 ])
+    [
+      (Profiles.paper_uniform, 1e4, 0.);
+      (Profiles.paper_uniform, 1., 0.);
+      (Profiles.paper_lognormal, 0.1, 0.);
+      (Profiles.paper_lognormal, 10., 0.5);
+      (Profiles.paper_homogeneous, 1., 0.);
+    ]
+
 let suites =
   [
     ( "timed strategies (E4)",
@@ -91,5 +124,6 @@ let suites =
         Alcotest.test_case "comm grows with k" `Quick test_hom_k_increases_comm_time;
         Alcotest.test_case "invalid n" `Quick test_invalid_n;
         Alcotest.test_case "E4 shape" `Quick test_e4_shape;
+        Alcotest.test_case "hom matches the per-block heap" `Quick test_hom_matches_heap_loop;
       ] );
   ]
