@@ -17,7 +17,7 @@ open Cmdliner
 let lint_entry =
   let run thunk () =
     let o : Lint.Cmd.outcome = thunk () in
-    (* The rich findings JSON (counts, per-finding "new" flags) stays on
+    (* The rich findings JSON (counts, graph size) stays on
        Lint.Cmd's own flag; the Registry --json surface gets the findings
        table in the standard Api.Response envelope like every command. *)
     ( Some (Experiments.Registry.table ~header:o.Lint.Cmd.header ~rows:o.Lint.Cmd.rows),

@@ -74,22 +74,3 @@ let arm t engine ?on_recover ~on_crash () =
               f ~worker:c.worker eng)
       | _ -> ())
     (Plan.crashes t.plan)
-
-let time_of = function
-  | Crash { time; _ }
-  | Recover { time; _ }
-  | Fetch_failure { time; _ }
-  | Task_retry { time; _ }
-  | Quarantine { time; _ } ->
-      time
-
-let pp_event ppf = function
-  | Crash { worker; time } -> Format.fprintf ppf "t=%g crash worker %d" time worker
-  | Recover { worker; time } -> Format.fprintf ppf "t=%g recover worker %d" time worker
-  | Fetch_failure { worker; task; attempt; time } ->
-      Format.fprintf ppf "t=%g fetch failure worker %d task %d attempt %d" time worker
-        task attempt
-  | Task_retry { task; attempt; time } ->
-      Format.fprintf ppf "t=%g retry task %d (attempt %d)" time task attempt
-  | Quarantine { worker; task; time } ->
-      Format.fprintf ppf "t=%g quarantine worker %d / task %d" time worker task

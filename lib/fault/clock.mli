@@ -55,6 +55,3 @@ val arm :
     discrete-event engine: at each instant the clock records the event
     and invokes the callback.  This is how a [Des.Engine]-based
     simulation consumes a plan without re-implementing the timeline. *)
-
-val time_of : event -> float
-val pp_event : Format.formatter -> event -> unit

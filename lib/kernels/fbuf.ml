@@ -14,7 +14,7 @@
    [Scatter.offsets] — instead of growing a zoo of view types. *)
 
 [@@@nldl.unsafe_zone
-  "unsafe_get/unsafe_set/unsafe_blit are re-exports for audited kernel zones \
+  "unsafe_get/unsafe_set are re-exports for audited kernel zones \
    (Matmul, Outer_product, Parallel_matmul, Summa, Matrix) that validate index \
    ranges once before their inner loops; everything else here is bounds-checked \
    Bigarray access (U-audit 2026-08)"]
@@ -83,11 +83,6 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
     for i = len - 1 downto 0 do
       unsafe_set dst (dst_pos + i) (unsafe_get src (src_pos + i))
     done
-
-let unsafe_blit ~src ~src_pos ~dst ~dst_pos ~len =
-  for i = 0 to len - 1 do
-    unsafe_set dst (dst_pos + i) (unsafe_get src (src_pos + i))
-  done
 
 let equal (a : t) (b : t) =
   length a = length b

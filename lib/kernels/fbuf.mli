@@ -11,9 +11,9 @@
     row-major through {!idx} — one flat layout shared with the
     [Scatter.offsets] convention, no view types.
 
-    [unsafe_get]/[unsafe_set]/[unsafe_blit] skip bounds checks; they are
-    for audited [\[@@@nldl.unsafe_zone\]] modules that validate their
-    index ranges once up front. *)
+    [unsafe_get]/[unsafe_set] skip bounds checks; they are for audited
+    [\[@@@nldl.unsafe_zone\]] modules that validate their index ranges
+    once up front. *)
 
 type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -52,10 +52,6 @@ val copy : t -> t
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Bounds-checked copy, correct for overlapping ranges within one
     buffer.  Allocation-free (no view headers). *)
-
-val unsafe_blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-(** Forward copy with no bounds checks; ranges must be valid and, within
-    one buffer, non-overlapping (or [dst_pos <= src_pos]). *)
 
 val equal : t -> t -> bool
 (** Bitwise equality ([Int64.bits_of_float] per cell): distinguishes

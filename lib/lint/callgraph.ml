@@ -1,11 +1,11 @@
 (* Cross-module value-level call graph.
 
-   Phase 1 (per file, cacheable): [extract] walks one parsetree and
+   Phase 1 (per file): [extract] walks one parsetree and
    produces a [fragment] — the file's top-level value definitions, every
    identifier each one references, the mutation / blocking / unsafe
    sites inside it, and the references made from inside arguments of a
    parallel primitive.  Fragments are plain data (no [Location.t], no
-   closures) so they marshal into the digest-keyed cache.
+   closures) and depend on their own file only.
 
    Phase 2 (whole program): [build] indexes every definition of every
    fragment under all dotted suffixes of its qualified path

@@ -1,7 +1,7 @@
 (** Cross-module value-level call graph.
 
     Built in two phases: {!extract} turns one file's parsetree into a
-    marshal-friendly {!fragment} (cacheable per content digest), and
+    plain-data {!fragment} (a function of that file alone), and
     {!build} links all fragments into a graph whose nodes are top-level
     value bindings and whose edges are identifier references.
 

@@ -10,24 +10,16 @@ type outcome = {
 let dirs =
   Arg.(
     value & pos_all string Driver.default_roots
-    & info [] ~docv:"DIR" ~doc:"Directories to lint (default: lib bin bench test).")
+    & info [] ~docv:"DIR"
+        ~doc:
+          (Printf.sprintf "Directories to lint (default: %s)."
+             (String.concat " " Driver.default_roots)))
 
 let root =
   Arg.(
     value & opt string "."
     & info [ "root" ] ~docv:"DIR"
-        ~doc:"Repository root; DIRs and --baseline are resolved against it.")
-
-let baseline =
-  Arg.(
-    value & opt string "lint_baseline.txt"
-    & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline of tolerated findings.")
-
-let update =
-  Arg.(
-    value & flag
-    & info [ "update-baseline" ]
-        ~doc:"Rewrite the baseline to the current findings instead of gating.")
+        ~doc:"Repository root; DIRs are resolved against it.")
 
 let json_out ~name =
   Arg.(
@@ -45,18 +37,6 @@ let graph_json_out =
           "Write the call-graph/escape-set artifact to $(docv) (\"-\" = \
            stdout).")
 
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable the digest-keyed phase-1 cache.")
-
-let cache_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Phase-1 cache directory (default: under the system temp dir).")
-
 let rules_flag =
   Arg.(value & flag & info [ "rules" ] ~doc:"List the rule catalog and exit.")
 
@@ -65,17 +45,13 @@ let print_rules () =
     (fun (id, synopsis) -> Printf.printf "%-5s %s\n" id synopsis)
     Rules.catalog
 
-let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
-    rules () =
+let execute root dirs json_out graph_json_out rules () =
   if rules then begin
     print_rules ();
     { header = [ "rule"; "synopsis" ]; rows = []; out_json = Obs.Json.Null; status = 0 }
   end
   else begin
-    let r =
-      Driver.run ~root ~roots:dirs ~baseline_file:baseline ~update_baseline:update
-        ?cache_dir ~use_cache:(not no_cache) ()
-    in
+    let r = Driver.run ~root ~roots:dirs () in
     print_string (Driver.render r);
     let j = Driver.json r in
     (match json_out with
@@ -98,14 +74,14 @@ let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
             [ f.rule; f.file; string_of_int f.line; string_of_int f.col; f.message ])
           r.findings;
       out_json = j;
-      status = (if update || Driver.gate_ok r then 0 else 1);
+      status = (if Driver.gate_ok r then 0 else 1);
     }
   end
 
 let make_thunk_term ~json_flag =
   Term.(
-    const execute $ root $ dirs $ baseline $ update $ json_out ~name:json_flag
-    $ graph_json_out $ no_cache $ cache_dir $ rules_flag)
+    const execute $ root $ dirs $ json_out ~name:json_flag $ graph_json_out
+    $ rules_flag)
 
 let thunk_term = make_thunk_term ~json_flag:"json"
 
@@ -125,8 +101,7 @@ let command =
          unsafe zones (U-rules), domain safety of pool-executed libraries \
          (S-rules), hygiene (H-rules), and the interprocedural race / \
          proof-obligation / blocking-call rules (R-rules) over a whole-program \
-         call graph.  Exits 1 when a finding is not absorbed by the committed \
-         baseline.";
+         call graph.  Exits 1 on any finding.";
     ]
   in
   Cmd.v

@@ -1,7 +1,7 @@
-let default_roots = [ "lib"; "bin"; "bench"; "test" ]
+let default_roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 
-(* Normalize to '/' separators so findings and baselines are identical
-   across platforms (and so scoping prefixes match). *)
+(* Normalize to '/' separators so findings are identical across
+   platforms (and so scoping prefixes match). *)
 let normalize path =
   String.map (fun c -> if c = '\\' then '/' else c) path
 
@@ -72,8 +72,7 @@ let mark_findings ~file ~(marks : Attrs.file_marks) ~unsafe_sites =
                name))
       marks.unknown
 
-(* Phase 1 for one unit: per-file rules + call-graph fragment.  Pure in
-   the source (path + content), which is what makes it cacheable. *)
+(* Phase 1 for one unit: per-file rules + call-graph fragment. *)
 let lint_source (src : Source.t) : Finding.t list * Callgraph.fragment =
   let file = src.Source.file in
   let findings = ref [] in
@@ -127,12 +126,6 @@ let lint_strings units =
 
 let lint_string ~file src = lint_strings [ (file, src) ]
 
-let lint_file ~root rel =
-  let src = Source.read ~root (normalize rel) in
-  let local, frag = lint_source src in
-  let _, _, inter = analyze_fragments [ frag ] in
-  List.sort Finding.compare (local @ inter)
-
 (* --- tree walk ---------------------------------------------------------- *)
 
 let rec walk root acc rel =
@@ -179,97 +172,33 @@ let missing_mli files =
 type result = {
   files : int;
   findings : Finding.t list;
-  fresh : Finding.t list;
-  resolved : string list;
-  baseline_path : string;
-  updated : bool;
   graph : Callgraph.t;
   escape : Escape.t;
-  cache_hits : int;
-  cache_misses : int;
 }
 
-let run ?(root = ".") ?(roots = default_roots) ?(baseline_file = "lint_baseline.txt")
-    ?(update_baseline = false) ?cache_dir ?(use_cache = true)
-    ?(interproc = true) () =
+let run ?(root = ".") ?(roots = default_roots) () =
   let files = collect ~root ~roots in
-  let dir = match cache_dir with Some d -> d | None -> Cache.default_dir () in
-  let hits = ref 0 and misses = ref 0 in
-  let per_file =
-    List.map
-      (fun rel ->
-        let src = Source.read ~root rel in
-        if not use_cache then begin
-          incr misses;
-          lint_source src
-        end
-        else
-          let digest = Source.digest src in
-          match Cache.load ~dir ~digest with
-          | Some p ->
-              incr hits;
-              (p.Cache.p_findings, p.Cache.p_fragment)
-          | None ->
-              incr misses;
-              let local, frag = lint_source src in
-              Cache.store ~dir ~digest
-                { Cache.p_findings = local; p_fragment = frag };
-              (local, frag))
-      files
-  in
-  let local = List.concat_map fst per_file in
-  let graph, escape, inter =
-    if interproc then analyze_fragments (List.map snd per_file)
-    else analyze_fragments []
-  in
+  let per_file = List.map (fun rel -> lint_source (Source.read ~root rel)) files in
+  let graph, escape, inter = analyze_fragments (List.map snd per_file) in
   let findings =
-    List.sort Finding.compare (local @ inter @ missing_mli files)
+    List.sort Finding.compare
+      (List.concat_map fst per_file @ inter @ missing_mli files)
   in
-  let baseline_path = Filename.concat root baseline_file in
-  let baseline = Baseline.load baseline_path in
-  let fresh, resolved = Baseline.diff ~baseline findings in
-  if update_baseline then Baseline.save baseline_path findings;
-  {
-    files = List.length files;
-    findings;
-    fresh;
-    resolved;
-    baseline_path;
-    updated = update_baseline;
-    graph;
-    escape;
-    cache_hits = !hits;
-    cache_misses = !misses;
-  }
+  { files = List.length files; findings; graph; escape }
 
-let gate_ok r = r.fresh = []
+let gate_ok r = r.findings = []
 
 let graph_json r = Interproc.graph_json r.graph r.escape
 
 let render r =
   let buf = Buffer.create 1024 in
-  List.iter
-    (fun f ->
-      let tag = if List.memq f r.fresh then " NEW" else "" in
-      Buffer.add_string buf (Finding.to_string f ^ tag ^ "\n"))
-    r.findings;
-  List.iter
-    (fun k ->
-      Buffer.add_string buf
-        (Printf.sprintf "stale baseline entry (fixed? run --update-baseline): %s\n" k))
-    r.resolved;
+  List.iter (fun f -> Buffer.add_string buf (Finding.to_string f ^ "\n")) r.findings;
   Buffer.add_string buf
     (Printf.sprintf
-       "nldl-lint: %d files, %d findings (%d new, %d baselined, %d stale \
-        baseline); graph: %d nodes, %d escaping; cache: %d hit, %d miss%s\n"
-       r.files (List.length r.findings) (List.length r.fresh)
-       (List.length r.findings - List.length r.fresh)
-       (List.length r.resolved)
+       "nldl-lint: %d files, %d findings; graph: %d nodes, %d escaping\n"
+       r.files (List.length r.findings)
        (Callgraph.node_count r.graph)
-       (Escape.count r.escape) r.cache_hits r.cache_misses
-       (if r.updated then Printf.sprintf "; baseline %s updated" r.baseline_path
-        else ""))
-  ;
+       (Escape.count r.escape));
   Buffer.contents buf
 
 let json r =
@@ -277,20 +206,7 @@ let json r =
     [
       ("files", Obs.Json.Int r.files);
       ("total", Obs.Json.Int (List.length r.findings));
-      ("new", Obs.Json.Int (List.length r.fresh));
-      ("stale_baseline", Obs.Json.Int (List.length r.resolved));
       ("graph_nodes", Obs.Json.Int (Callgraph.node_count r.graph));
       ("escaping", Obs.Json.Int (Escape.count r.escape));
-      ("cache_hits", Obs.Json.Int r.cache_hits);
-      ("cache_misses", Obs.Json.Int r.cache_misses);
-      ( "findings",
-        Obs.Json.List
-          (List.map
-             (fun f ->
-               match Finding.to_json f with
-               | Obs.Json.Obj fields ->
-                   Obs.Json.Obj
-                     (fields @ [ ("new", Obs.Json.Bool (List.memq f r.fresh)) ])
-               | j -> j)
-             r.findings) );
+      ("findings", Obs.Json.List (List.map Finding.to_json r.findings));
     ]

@@ -3,15 +3,15 @@
     Phase 1 parses every unit through {!Source} and runs the per-file
     rule registry ({!Rules.all} under {!Rules.scoping}, plus the
     driver-side U102/U103/X001/E000 checks), producing findings and a
-    {!Callgraph.fragment} per file; this phase is pure in (path,
-    content) and cached on disk through {!Cache}.  Phase 2 links all
-    fragments into the whole-program {!Callgraph}, computes the
-    parallel {!Escape} set and evaluates the interprocedural rules
-    R401/R402/R403 ({!Interproc}).  H304 (missing [.mli]) still runs on
-    the collected file list. *)
+    {!Callgraph.fragment} per file.  Phase 2 links all fragments into
+    the whole-program {!Callgraph}, computes the parallel {!Escape} set
+    and evaluates the interprocedural rules R401/R402/R403
+    ({!Interproc}).  H304 (missing [.mli]) runs on the collected file
+    list.  Every run is cold: the whole tree lints in a fraction of a
+    second, and [dune build \@lint] already skips unchanged trees. *)
 
 val default_roots : string list
-(** [lib bin bench test]. *)
+(** [lib bin bench test examples] — the tree [dune build \@lint] gates. *)
 
 val lint_string : file:string -> string -> Finding.t list
 (** Lint one compilation unit given as a string; [file] is the
@@ -29,52 +29,29 @@ val analyze_strings :
 (** Like {!lint_strings} but also exposing the graph and escape set for
     resolution / fixpoint assertions. *)
 
-val lint_file : root:string -> string -> Finding.t list
-(** [lint_file ~root rel] reads [root/rel] and lints it as [rel]. *)
-
 type result = {
   files : int;
   findings : Finding.t list;  (** all findings, sorted *)
-  fresh : Finding.t list;  (** findings not absorbed by the baseline *)
-  resolved : string list;  (** stale baseline keys *)
-  baseline_path : string;
-  updated : bool;  (** baseline file was rewritten *)
   graph : Callgraph.t;  (** whole-program call graph (phase 2) *)
   escape : Escape.t;
-  cache_hits : int;
-  cache_misses : int;
 }
 
-val run :
-  ?root:string ->
-  ?roots:string list ->
-  ?baseline_file:string ->
-  ?update_baseline:bool ->
-  ?cache_dir:string ->
-  ?use_cache:bool ->
-  ?interproc:bool ->
-  unit ->
-  result
-(** Walk [roots] (relative to [root], default ["."], skipping [_build]
-    and dot-directories), lint every [.ml]/[.mli], and diff against
-    [baseline_file] (relative to [root], default [lint_baseline.txt]).
-    With [update_baseline] the baseline is rewritten to the current
-    findings instead of gating.  [cache_dir] overrides the phase-1 cache
-    location (default {!Cache.default_dir}); [use_cache:false] disables
-    it; [interproc:false] skips phase 2 entirely (the PR-5 per-file
-    behaviour, kept as the bench baseline). *)
+val run : ?root:string -> ?roots:string list -> unit -> result
+(** Walk [roots] (default {!default_roots}) under [root] (default
+    ["."]), skipping [_build] and dot-directories, and lint every
+    [.ml]/[.mli] through both phases. *)
 
 val gate_ok : result -> bool
-(** No new findings (the CI gate; stale baseline lines are reported but
-    do not fail the build). *)
+(** No findings: the CI gate.  A deliberate exception is suppressed in
+    the source with [[\@nldl.allow "RULE"]], next to the code it
+    excuses. *)
 
 val graph_json : result -> Obs.Json.t
 (** The [lint_graph.json] artifact ({!Interproc.graph_json}). *)
 
 val render : result -> string
-(** Human report: one compiler-style line per finding (new ones marked
-    [NEW]), stale baseline keys, and a one-line summary. *)
+(** Human report: one compiler-style line per finding and a one-line
+    summary. *)
 
 val json : result -> Obs.Json.t
-(** The [lint_findings.json] artifact: totals plus every finding with a
-    ["new"] flag. *)
+(** The [lint_findings.json] artifact: totals plus every finding. *)

@@ -31,8 +31,6 @@ let compare a b =
         let c = String.compare a.rule b.rule in
         if c <> 0 then c else String.compare a.message b.message
 
-let key f = f.rule ^ "|" ^ f.file ^ "|" ^ f.message
-
 let to_string f =
   Printf.sprintf "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.message
 

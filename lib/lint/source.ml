@@ -6,9 +6,7 @@
    file), so it is stripped before lexing; empty files parse to an empty
    structure rather than being special-cased anywhere else; CRLF line
    endings are already handled by the OCaml lexer and are only covered
-   by fixtures.  The digest keys the on-disk analysis cache, so it
-   covers exactly what the analysis sees: the normalized content plus
-   the repo-relative path (scoping depends on the path). *)
+   by fixtures. *)
 
 let utf8_bom = "\xef\xbb\xbf"
 
@@ -38,8 +36,6 @@ let read ~root rel =
   let src = really_input_string ic n in
   close_in ic;
   of_string ~file:rel src
-
-let digest t = Digest.to_hex (Digest.string (t.file ^ "\x00" ^ t.content))
 
 type ast =
   | Structure of Parsetree.structure

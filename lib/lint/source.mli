@@ -20,10 +20,6 @@ val of_string : file:string -> string -> t
 val read : root:string -> string -> t
 (** [read ~root rel] loads [root/rel] in binary mode and normalizes. *)
 
-val digest : t -> string
-(** Hex digest of (path, normalized content) — the analysis-cache key.
-    The path is included because rule scoping depends on it. *)
-
 type ast =
   | Structure of Parsetree.structure
   | Signature of Parsetree.signature

@@ -13,6 +13,3 @@ type t = {
 
 val make : id:int -> data_ids:int array -> cost:float -> t
 (** Raises [Invalid_argument] on negative cost. *)
-
-val input_size : block_size:(int -> float) -> t -> float
-(** Total size of the task's blocks. *)

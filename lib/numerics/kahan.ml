@@ -17,11 +17,6 @@ let sum a =
   Array.iter (add t) a;
   total t
 
-let sum_list l =
-  let t = create () in
-  List.iter (add t) l;
-  total t
-
 let sum_by f a =
   let t = create () in
   Array.iter (fun x -> add t (f x)) a;

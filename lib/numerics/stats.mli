@@ -25,8 +25,6 @@ val quantile : float array -> float -> float
 val coefficient_of_variation : float array -> float
 (** stddev / mean; a heterogeneity measure for speed vectors. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Streaming (single-pass, numerically stable) moments — Welford's
     algorithm; used where experiment series are too long to buffer. *)
 module Online : sig

@@ -9,9 +9,6 @@ val now_ns : unit -> int
 (** Current monotonic time in nanoseconds as a native [int] (63 bits
     holds ~146 years of nanoseconds).  Allocation-free. *)
 
-val now_ns64 : unit -> int64
-(** Same instant as a boxed [int64]. *)
-
 val ns_to_s : int -> float
 (** Nanoseconds to seconds. *)
 

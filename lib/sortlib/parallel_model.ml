@@ -57,7 +57,3 @@ let evaluate ?(master_speed = 1.) ?(with_communication = true) star ~bucket_size
     speedup = (if total > 0. then sequential /. total else 1.);
     divisible_fraction = (if n > 1 then partial /. nlogn nf else 1.);
   }
-
-let ideal_phase3 star ~n =
-  let nf = float_of_int n in
-  nlogn nf /. Star.total_speed star

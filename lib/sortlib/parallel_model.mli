@@ -33,9 +33,3 @@ val evaluate :
     [master_speed] defaults to 1; [with_communication] defaults to
     [true].  Raises [Invalid_argument] when the number of buckets
     differs from the platform size. *)
-
-val ideal_phase3 : Platform.Star.t -> n:int -> float
-(** [(N/p)·log₂ N / s_max-normalized]: the optimal parallel time
-    [N log N / (p·s)] on a homogeneous platform of per-worker speed
-    taken from the platform mean — the target of the Section 3
-    optimality claim. *)

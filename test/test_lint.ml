@@ -218,65 +218,6 @@ let suppression =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Baseline semantics.                                                 *)
-
-let finding rule file message =
-  Lint.Finding.make ~rule ~file ~line:1 ~col:0 ~message
-
-let baseline =
-  [
-    Alcotest.test_case "missing file is empty" `Quick (fun () ->
-        Alcotest.(check int)
-          "entries" 0
-          (List.length (Lint.Baseline.load "/nonexistent/baseline.txt")));
-    Alcotest.test_case "save/load round-trip" `Quick (fun () ->
-        let path = Filename.temp_file "nldl_baseline" ".txt" in
-        let fs =
-          [ finding "U101" "lib/a.ml" "unsafe"; finding "H302" "lib/b.ml" "cmp" ]
-        in
-        Lint.Baseline.save path fs;
-        let entries = Lint.Baseline.load path in
-        Sys.remove path;
-        Alcotest.(check int) "entries" 2 (List.length entries);
-        let fresh, resolved = Lint.Baseline.diff ~baseline:entries fs in
-        Alcotest.(check int) "fresh" 0 (List.length fresh);
-        Alcotest.(check int) "resolved" 0 (List.length resolved));
-    Alcotest.test_case "new finding is fresh" `Quick (fun () ->
-        let entries = [] in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries [ finding "U101" "lib/a.ml" "m" ]
-        in
-        Alcotest.(check int) "fresh" 1 (List.length fresh));
-    Alcotest.test_case "fixed finding is resolved" `Quick (fun () ->
-        let path = Filename.temp_file "nldl_baseline" ".txt" in
-        Lint.Baseline.save path [ finding "U101" "lib/a.ml" "m" ];
-        let entries = Lint.Baseline.load path in
-        Sys.remove path;
-        let fresh, resolved = Lint.Baseline.diff ~baseline:entries [] in
-        Alcotest.(check int) "fresh" 0 (List.length fresh);
-        Alcotest.(check int) "resolved" 1 (List.length resolved));
-    Alcotest.test_case "bag semantics: duplicate not absorbed" `Quick
-      (fun () ->
-        let entries =
-          [ { Lint.Baseline.rule = "U101"; file = "lib/a.ml"; line = 1; message = "m" } ]
-        in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries
-            [ finding "U101" "lib/a.ml" "m"; finding "U101" "lib/a.ml" "m" ]
-        in
-        Alcotest.(check int) "second copy is fresh" 1 (List.length fresh));
-    Alcotest.test_case "line change does not reopen" `Quick (fun () ->
-        let entries =
-          [ { Lint.Baseline.rule = "U101"; file = "lib/a.ml"; line = 7; message = "m" } ]
-        in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries
-            [ Lint.Finding.make ~rule:"U101" ~file:"lib/a.ml" ~line:99 ~col:0 ~message:"m" ]
-        in
-        Alcotest.(check int) "absorbed despite line move" 0 (List.length fresh));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Driver over a synthetic tree (H304 + gate), and the real tree.      *)
 
 let with_temp_tree f =
@@ -324,30 +265,28 @@ let driver =
             Alcotest.(check int) "one missing mli" 1 (List.length h304);
             Alcotest.(check bool) "names a.ml" true
               (List.exists (fun (f : Lint.Finding.t) -> f.file = "lib/a.ml") h304)));
-    Alcotest.test_case "update-baseline then gate passes" `Quick (fun () ->
+    Alcotest.test_case "gate fails, then passes once fixed" `Quick (fun () ->
         with_temp_tree (fun dir ->
             write (Filename.concat dir "lib/a.ml") "let c = ref 0\n";
             write (Filename.concat dir "lib/a.mli") "val c : int ref\n";
             let r1 = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
             Alcotest.(check bool) "gate fails first" false (Lint.Driver.gate_ok r1);
-            let r2 =
-              Lint.Driver.run ~root:dir ~roots:[ "lib" ] ~update_baseline:true ()
-            in
-            Alcotest.(check bool) "baseline updated" true r2.updated;
-            let r3 = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
-            Alcotest.(check bool) "gate passes after update" true
-              (Lint.Driver.gate_ok r3)));
+            write (Filename.concat dir "lib/a.ml") "let c = 0\n";
+            write (Filename.concat dir "lib/a.mli") "val c : int\n";
+            let r2 = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
+            Alcotest.(check bool) "gate passes once fixed" true
+              (Lint.Driver.gate_ok r2)));
     Alcotest.test_case "real tree: no new findings" `Quick (fun () ->
         (* dune runtest runs from _build/default/test; walk up to the
            source root so the check covers the committed tree. *)
         match find_repo_root (Sys.getcwd ()) with
         | None -> ()
         | Some root ->
-            let r = Lint.Driver.run ~root ~roots:[ "lib"; "bin" ] () in
+            let r = Lint.Driver.run ~root () in
             Alcotest.(check (list string))
-              "no new findings"
+              "no findings"
               []
-              (List.map Lint.Finding.to_string r.fresh));
+              (List.map Lint.Finding.to_string r.findings));
   ]
 
 let suites =
@@ -357,6 +296,5 @@ let suites =
     ("lint.s_rules", s_rules);
     ("lint.h_rules", h_rules);
     ("lint.suppression", suppression);
-    ("lint.baseline", baseline);
     ("lint.driver", driver);
   ]

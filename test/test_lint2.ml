@@ -370,74 +370,6 @@ let robustness =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Cache: digest-keyed phase-1 round-trip through the driver.          *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "nldl_lint2" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir)
-    (fun () -> f dir)
-
-let write path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let cache =
-  [
-    Alcotest.test_case "second run hits for every file" `Quick (fun () ->
-        with_temp_dir (fun dir ->
-            let root = Filename.concat dir "tree" in
-            Unix.mkdir root 0o755;
-            Unix.mkdir (Filename.concat root "lib") 0o755;
-            write (Filename.concat root "lib/a.ml") "let x = ref 0\n";
-            write (Filename.concat root "lib/a.mli") "val x : int ref\n";
-            write (Filename.concat root "lib/b.ml") "let y = 2\n";
-            write (Filename.concat root "lib/b.mli") "val y : int\n";
-            let cache_dir = Filename.concat dir "cache" in
-            let r1 =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "all misses cold" r1.files r1.cache_misses;
-            let r2 =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "all hits warm" r2.files r2.cache_hits;
-            Alcotest.(check int) "no misses warm" 0 r2.cache_misses;
-            Alcotest.(check (list string))
-              "same findings"
-              (List.map Lint.Finding.to_string r1.findings)
-              (List.map Lint.Finding.to_string r2.findings)));
-    Alcotest.test_case "edited file misses, others hit" `Quick (fun () ->
-        with_temp_dir (fun dir ->
-            let root = Filename.concat dir "tree" in
-            Unix.mkdir root 0o755;
-            Unix.mkdir (Filename.concat root "lib") 0o755;
-            write (Filename.concat root "lib/a.ml") "let x = 1\n";
-            write (Filename.concat root "lib/a.mli") "val x : int\n";
-            write (Filename.concat root "lib/b.ml") "let y = 2\n";
-            write (Filename.concat root "lib/b.mli") "val y : int\n";
-            let cache_dir = Filename.concat dir "cache" in
-            let _ = Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir () in
-            write (Filename.concat root "lib/a.ml") "let x = 3\n";
-            let r =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "one miss" 1 r.cache_misses;
-            Alcotest.(check int) "rest hit" (r.files - 1) r.cache_hits));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Real tree: graph sanity mirroring test_lint.ml's gate check.        *)
 
 let rec find_repo_root dir =
@@ -464,13 +396,13 @@ let real_tree =
             Alcotest.(check bool) "roots found" true
               (Lint.Callgraph.roots r.graph <> []);
             Alcotest.(check (list string))
-              "no fresh interprocedural findings" []
-              (List.filter
-                 (fun k ->
-                   List.exists
-                     (fun r -> String.length k >= 4 && String.sub k 0 4 = r)
-                     [ "R401"; "R402"; "R403" ])
-                 (List.map Lint.Finding.key r.fresh)));
+              "no interprocedural findings" []
+              (List.filter_map
+                 (fun (f : Lint.Finding.t) ->
+                   if List.mem f.rule [ "R401"; "R402"; "R403" ] then
+                     Some (Lint.Finding.to_string f)
+                   else None)
+                 r.findings));
   ]
 
 (* Every lib/ implementation must define something an executable can
@@ -526,6 +458,5 @@ let suites =
     ("lint2.r402", r402);
     ("lint2.r403", r403);
     ("lint2.robustness", robustness);
-    ("lint2.cache", cache);
     ("lint2.real_tree", real_tree @ reachability);
   ]
